@@ -1,13 +1,11 @@
 """Exact arithmetic in F_q, F_q[T], F_q(T) and F_q((1/T))."""
 
-from .degree import NEG_INF, deg_max
+from .degree import NEG_INF
 from .field import FieldSpec, FqElem
 from .laurent import (
     Laurent,
     LaurentMat,
     LaurentVec,
-    degree,
-    laurent_arith,
     laurent_from_rational,
     sup_norm,
 )
@@ -22,14 +20,11 @@ from .poly import Poly, RatFn, ops_for, poly_divmod, poly_gcd
 
 __all__ = [
     "NEG_INF",
-    "deg_max",
     "FieldSpec",
     "FqElem",
     "Laurent",
     "LaurentMat",
     "LaurentVec",
-    "degree",
-    "laurent_arith",
     "laurent_from_rational",
     "sup_norm",
     "format_laurent",

@@ -53,11 +53,3 @@ NEG_INF = _NegInf()
 
 Degree = "int | _NegInf"  # documentation alias; no typing dependency
 
-
-def deg_max(*degrees):
-    """Max of degree values, honouring the sentinel."""
-    best = NEG_INF
-    for d in degrees:
-        if best is NEG_INF or (d is not NEG_INF and d > best):
-            best = d
-    return best

@@ -6,7 +6,7 @@ Elements are carried in two layers:
   where (c0, ..., c_{r-1}) are its coordinates in the basis 1, u, ...,
   u**(r-1) and u is a root of the modulus.  For prime fields this is just
   the residue.  All polynomial/series code works on raw ints through the
-  FieldSpec methods, which are table lookups for any q we ever use.
+  FieldSpec methods, which are table lookups (q is at most 512).
 * FqElem -- a thin operator-overloading wrapper for user-facing code.
 
 FieldSpec checks primality of p and irreducibility of the modulus at
@@ -25,7 +25,7 @@ _BUILTIN_MODULI = {
     9: (1, 0, 1),
 }
 
-_TABLE_LIMIT = 512  # build full q-by-q tables below this size
+_TABLE_LIMIT = 512  # largest q; arithmetic runs on full q-by-q tables
 
 
 def _is_prime(n):
@@ -108,7 +108,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "r", "q", "modulus",
-        "_add", "_sub", "_mul", "_neg", "_inv", "_use_tables",
+        "_add", "_sub", "_mul", "_neg", "_inv",
     )
 
     _cache = {}
@@ -119,6 +119,7 @@ class FieldSpec:
         if r < 1:
             raise ValueError("extension degree must be >= 1")
         q = p**r
+        _check_size(q)
         if r == 1:
             modulus = ()
         else:
@@ -137,15 +138,14 @@ class FieldSpec:
         self.r = r
         self.q = q
         self.modulus = modulus
-        self._use_tables = q <= _TABLE_LIMIT
-        if self._use_tables:
-            self._build_tables()
+        self._build_tables()
 
     @classmethod
     def get(cls, q, modulus=None):
         """Shared FieldSpec for q = p**r (factored automatically)."""
         key = (q, modulus)
         if key not in cls._cache:
+            _check_size(q)  # before factoring, which is slow for a huge q
             p, r = _factor_prime_power(q)
             cls._cache[key] = cls(p, r, modulus)
         return cls._cache[key]
@@ -232,7 +232,9 @@ class FieldSpec:
                 raise ValueError(f"expected {self.r} coordinates")
             value = self._pack(value)
         if not 0 <= value < self.q:
-            value %= self.q if self.r == 1 else 0  # only prime fields coerce
+            if self.r != 1:  # only prime fields coerce
+                raise ValueError(f"raw value {value} outside [0, {self.q})")
+            value %= self.q
         return FqElem(self, value)
 
     def one(self):
@@ -258,6 +260,12 @@ class FieldSpec:
         if self.r == 1:
             return f"FieldSpec(F_{self.q})"
         return f"FieldSpec(F_{self.q}, modulus={self.modulus})"
+
+
+def _check_size(q):
+    if q > _TABLE_LIMIT:
+        raise ValueError(
+            f"q = {q} is above the supported limit {_TABLE_LIMIT}")
 
 
 def _factor_prime_power(q):

@@ -1,12 +1,18 @@
 """Precision-tracked Laurent series in 1/T over F_q.
 
-A Laurent value stores the coefficients it actually knows: a window of
-digits from its leading degree down to an absolute valuation floor.
-``exact=True`` means every coefficient below the window is zero, so the
-value is a finite sum known completely.  ``exact=False`` means digits
-below ``floor`` are unknown (a big-oh tail), and any query whose answer
-depends on them raises rather than guesses.  In particular a window of
-all-zero digits with ``exact=False`` is an *ambiguous zero*: the value
+A Laurent value is the raw polynomial of its listed digits (the
+``ops_for(field)`` form that Poly and the lattice code use: an int
+bitmask at q = 2, a little-endian tuple otherwise) times T**floor, so
+digit i of ``raw`` is the coefficient of T**(floor + i).  Addition,
+multiplication, shifts and inversion are the raw polynomial kernels
+plus bookkeeping of the floor.
+
+``exact=True`` means every coefficient below the floor is zero, so the
+value is a finite sum known completely; its floor is then the degree of
+its lowest nonzero digit (0 for the zero value).  ``exact=False`` means
+digits below ``floor`` are unknown (a big-oh tail), and any query whose
+answer depends on them raises rather than guesses.  In particular an
+inexact value with no nonzero digit is an *ambiguous zero*: the value
 could be 0 or anything of degree below the floor.
 
 Degrees are the only magnitudes this module ever compares; |a| = e**deg
@@ -26,18 +32,19 @@ class Laurent:
 
     Attributes:
         field: owning FieldSpec.
-        lead: degree of the leading listed digit (meaningful only when
-            the digit window is nonempty).
-        coeffs: raw field ints for degrees lead, lead-1, ..., floor.
+        raw: the listed digits as a raw polynomial; digit i is the
+            coefficient of T**(floor + i).
         floor: lowest degree whose coefficient is listed.
-        exact: True when all coefficients below the window are zero.
+        exact: True when all coefficients below the floor are zero.
+        tail_period: (first degree, length) of a proven periodic tail,
+            recorded by laurent_from_rational; None otherwise.
     """
 
-    __slots__ = ("field", "lead", "coeffs", "floor", "exact", "tail_period")
+    __slots__ = ("field", "ops", "raw", "floor", "exact", "tail_period")
 
     def __init__(self, field, digits, lead, exact=True, floor=None,
                  tail_period=None):
-        """Canonicalize a digit window.
+        """Build from a digit window.
 
         ``digits`` lists coefficients for degrees lead, lead-1, ...; raw
         ints, FqElem, or plain ints for prime fields.  ``floor`` defaults
@@ -51,62 +58,39 @@ class Laurent:
                 vals.append(c % field.p)
             else:
                 vals.append(c)
+        low = lead - len(vals) + 1  # degree of the last listed digit
         if floor is None:
-            floor = lead - len(vals) + 1 if vals else 0
-        else:
-            want = lead - floor + 1
-            if len(vals) > want:
-                raise ValueError("digit window extends below floor")
-            vals += [0] * (want - len(vals))
-        # strip leading zeros
-        while vals and vals[0] == 0:
-            vals.pop(0)
-            lead -= 1
-        if exact:
-            while vals and vals[-1] == 0:
-                vals.pop()
-                floor += 1
-            if vals:
-                floor = lead - len(vals) + 1
-            else:
-                floor = 0
-        if not vals:
-            lead = floor - 1
-        self.field = field
-        self.lead = lead
-        self.coeffs = tuple(vals)
-        self.floor = floor
-        self.exact = exact
-        self.tail_period = tail_period
+            floor = low if vals else 0
+        elif low < floor:
+            raise ValueError("digit window extends below floor")
+        ops = ops_for(field)
+        vals.reverse()
+        raw = ops.zero
+        if vals:
+            raw = ops.shift(ops.from_coeffs(vals), low - floor)
+        _fill(self, field, ops, raw, floor, exact, tail_period)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _make(cls, field, vals, lead, exact, floor, tail_period=None):
-        obj = object.__new__(cls)
-        obj.field = field
-        obj.lead = lead
-        obj.coeffs = tuple(vals)
-        obj.floor = floor
-        obj.exact = exact
-        obj.tail_period = tail_period
-        return obj
+    def _wrap(cls, field, ops, raw, floor, exact, tail_period=None):
+        return _fill(object.__new__(cls), field, ops, raw, floor, exact,
+                     tail_period)
 
     @classmethod
     def zero(cls, field):
-        return cls._make(field, (), -1, True, 0)
+        ops = ops_for(field)
+        return cls._wrap(field, ops, ops.zero, 0, True)
 
     @classmethod
     def unknown_below(cls, field, floor):
         """The ambiguous zero: all digits >= floor are 0, tail unknown."""
-        return cls._make(field, (), floor - 1, False, floor)
+        ops = ops_for(field)
+        return cls._wrap(field, ops, ops.zero, floor, False)
 
     @classmethod
-    def from_poly(cls, poly, exact=True, floor=None):
-        ops = ops_for(poly.field)
-        little = ops.to_coeffs(poly.raw)
-        return cls(poly.field, tuple(reversed(little)), len(little) - 1,
-                   exact=exact, floor=floor)
+    def from_poly(cls, poly):
+        return cls._wrap(poly.field, poly.ops, poly.raw, 0, True)
 
     @classmethod
     def monomial(cls, field, coeff, power):
@@ -115,25 +99,37 @@ class Laurent:
     # -- knowledge bookkeeping --------------------------------------------
 
     @property
+    def lead(self):
+        """Degree of the leading listed digit; floor - 1 if none is listed."""
+        if self.raw:
+            return self.floor + self.ops.deg(self.raw)
+        return self.floor - 1
+
+    @property
+    def coeffs(self):
+        """Read-only view: raw field ints for degrees lead, ..., floor."""
+        return tuple(reversed(self.ops.to_coeffs(self.raw)))
+
+    @property
     def known_floor(self):
         """Lowest degree with a known coefficient; NEG_INF when exact."""
         return NEG_INF if self.exact else self.floor
 
     def is_known_zero(self):
-        return self.exact and not self.coeffs
+        return self.exact and not self.raw
 
     def is_ambiguous(self):
-        return not self.exact and not self.coeffs
+        return not self.exact and not self.raw
 
     def deg_upper(self):
         """An upper bound for the degree that is always available."""
-        if self.coeffs:
+        if self.raw:
             return self.lead
         return NEG_INF if self.exact else self.floor - 1
 
     def degree(self):
         """Exact degree; NEG_INF for known zero; raises on ambiguity."""
-        if self.coeffs:
+        if self.raw:
             return self.lead
         if self.exact:
             return NEG_INF
@@ -144,7 +140,7 @@ class Laurent:
 
     def deg_le(self, bound):
         """Decide deg(self) <= bound, or raise AmbiguousZero if unknowable."""
-        if self.coeffs:
+        if self.raw:
             return self.lead <= bound
         if self.exact:
             return True
@@ -157,13 +153,18 @@ class Laurent:
 
     def coeff_at(self, d):
         """Raw coefficient of T**d; raises below the knowledge floor."""
-        if self.coeffs and d > self.lead:
-            return 0
-        if self.coeffs and d >= self.floor:
-            return self.coeffs[self.lead - d]
-        if self.exact or d >= self.floor:
+        if d >= self.floor:
+            return self.ops.coeff(self.raw, d - self.floor)
+        if self.exact:
             return 0
         raise PrecisionExhausted(f"digit at degree {d} below floor")
+
+    def _window(self, floor):
+        """Listed digits at degrees >= floor, as a raw value over T**floor."""
+        k = floor - self.floor
+        if k >= 0:
+            return self.ops.drop(self.raw, k)
+        return self.ops.shift(self.raw, -k)
 
     # -- value surgery -----------------------------------------------------
 
@@ -171,16 +172,16 @@ class Laurent:
         """Exact value made of the listed digits at degrees >= floor."""
         if self.exact and self.floor >= floor:
             return self
-        vals = [self.coeff_at(d) if d >= self.floor else 0
-                for d in range(self.lead, floor - 1, -1)]
-        return Laurent(self.field, vals, self.lead, exact=True)
+        floor = max(floor, self.floor)
+        return Laurent._wrap(self.field, self.ops, self._window(floor), floor,
+                             True)
 
     def forget_below(self, floor):
         """Same digits, weakened to unknown-below-floor."""
         if not self.exact and self.floor >= floor:
             return self
-        vals = [self.coeff_at(d) for d in range(self.lead, floor - 1, -1)]
-        return Laurent(self.field, vals, self.lead, exact=False, floor=floor)
+        return Laurent._wrap(self.field, self.ops, self._window(floor), floor,
+                             False)
 
     def shift(self, k):
         """Multiply by T**k."""
@@ -189,45 +190,28 @@ class Laurent:
         period = None
         if self.tail_period is not None:
             period = (self.tail_period[0] + k, self.tail_period[1])
-        return Laurent._make(self.field, self.coeffs, self.lead + k,
-                             self.exact, self.floor + k, period)
+        return Laurent._wrap(self.field, self.ops, self.raw, self.floor + k,
+                             self.exact, period)
 
     # -- ring operations ----------------------------------------------------
 
-    def _binary_window(self, other):
-        ka, kb = self.known_floor, other.known_floor
-        if ka is NEG_INF and kb is NEG_INF:
-            floors = [f for f in
-                      (self.floor if self.coeffs else None,
-                       other.floor if other.coeffs else None)
-                      if f is not None]
-            return (min(floors) if floors else 0), True
-        if ka is NEG_INF:
-            return kb, False
-        if kb is NEG_INF:
-            return ka, False
-        return max(ka, kb), False
-
     def __add__(self, other):
         self._compat(other)
-        floor, exact = self._binary_window(other)
-        lead = max(self.deg_upper(), other.deg_upper())
-        if lead is NEG_INF:
-            return (Laurent.zero(self.field) if exact
-                    else Laurent.unknown_below(self.field, floor))
-        if lead < floor:
-            lead = floor - 1
-        fadd = self.field.add
-        vals = [fadd(self.coeff_at(d) if d >= self.known_floor else 0,
-                     other.coeff_at(d) if d >= other.known_floor else 0)
-                for d in range(lead, floor - 1, -1)]
-        return Laurent(self.field, vals, lead, exact=exact, floor=floor)
+        if self.exact and other.exact:
+            floor = min(self.floor, other.floor)
+        elif self.exact:
+            floor = other.floor
+        elif other.exact:
+            floor = self.floor
+        else:
+            floor = max(self.floor, other.floor)
+        raw = self.ops.add(self._window(floor), other._window(floor))
+        return Laurent._wrap(self.field, self.ops, raw, floor,
+                             self.exact and other.exact)
 
     def __neg__(self):
-        fneg = self.field.neg
-        return Laurent._make(self.field, tuple(fneg(c) for c in self.coeffs),
-                             self.lead, self.exact, self.floor,
-                             self.tail_period)
+        return Laurent._wrap(self.field, self.ops, self.ops.neg(self.raw),
+                             self.floor, self.exact, self.tail_period)
 
     def __sub__(self, other):
         return self + (-other)
@@ -238,32 +222,24 @@ class Laurent:
         self._compat(other)
         if self.is_known_zero() or other.is_known_zero():
             return Laurent.zero(self.field)
-        ka, kb = self.known_floor, other.known_floor
         da, db = self.deg_upper(), other.deg_upper()
-        terms = []
-        if ka is not NEG_INF:
-            terms.append(ka + db)
-        if kb is not NEG_INF:
-            terms.append(kb + da)
-        exact = not terms
-        if not self.coeffs or not other.coeffs:
+        # the product is unknown below the highest degree an unknown tail
+        # can reach
+        floor = None
+        if not self.exact:
+            floor = self.floor + db
+        if not other.exact and (floor is None or other.floor + da > floor):
+            floor = other.floor + da
+        if not self.raw or not other.raw:
             # an ambiguous factor: only a degree bound survives
-            return Laurent.unknown_below(self.field, max(terms))
-        lead = self.lead + other.lead
-        floor = max(terms) if terms else None
-        ops = ops_for(self.field)
-        ra = ops.from_coeffs(tuple(reversed(self.coeffs)))
-        rb = ops.from_coeffs(tuple(reversed(other.coeffs)))
-        prod = ops.to_coeffs(ops.mul(ra, rb))
-        # prod is little-endian starting at degree self.floor + other.floor
+            return Laurent.unknown_below(self.field, floor)
+        ops = self.ops
+        raw = ops.mul(self.raw, other.raw)
         base = self.floor + other.floor
-        vals = list(reversed(prod))
-        vals = [0] * (lead - base - len(vals) + 1) + vals
-        if exact:
-            return Laurent(self.field, vals, lead, exact=True)
-        keep = lead - floor + 1
-        return Laurent(self.field, vals[:keep], lead, exact=False,
-                       floor=floor)
+        if floor is None:
+            return Laurent._wrap(self.field, ops, raw, base, True)
+        return Laurent._wrap(self.field, ops, ops.drop(raw, floor - base),
+                             floor, False)
 
     __rmul__ = __mul__
 
@@ -279,31 +255,23 @@ class Laurent:
             raise AmbiguousZero("cannot invert an unresolved value")
         if self.is_known_zero():
             raise DivisionByZero("inverse of zero series")
-        lead = self.lead
-        if self.exact and len(self.coeffs) == 1:
-            return Laurent.monomial(self.field, self.field.inv(self.coeffs[0]),
-                                    -lead)
-        attainable = (self.floor - 2 * lead) if not self.exact else None
-        if floor is None:
-            floor = self.floor - 2 * lead
-        if attainable is not None and floor < attainable:
+        ops, lead = self.ops, self.lead
+        if self.exact and lead == self.floor:
+            c = self.field.inv(ops.lc(self.raw))
+            return Laurent._wrap(self.field, ops, ops.scalar_mul(ops.one, c),
+                                 -lead, True)
+        attainable = self.floor - 2 * lead
+        if floor is None or (not self.exact and floor < attainable):
             floor = attainable
-        n = -lead - floor + 1  # number of output digits
-        if n <= 0:
+        if floor > -lead:
             return Laurent.unknown_below(self.field, floor)
-        finv, fmul, fsub = self.field.inv, self.field.mul, self.field.sub
-        a0_inv = finv(self.coeffs[0])
-        A = self.coeffs  # A[j] = coeff of T**(lead-j)
-        R = [a0_inv]
-        for i in range(1, n):
-            acc = 0
-            for j in range(1, min(i, len(A) - 1) + 1):
-                if A[j] and R[i - j]:
-                    acc = self.field.add(acc, fmul(A[j], R[i - j]))
-            R.append(fmul(a0_inv, self.field.neg(acc)) if acc else 0)
-        # finite Laurent sums are units only when they are monomials, so a
-        # non-monomial inverse never closes up exactly
-        return Laurent(self.field, R, -lead, exact=False, floor=floor)
+        # 1/(A*T**f) = T**floor * T**N / A with N = -(floor + f): the
+        # polynomial quotient of T**N by A holds the digits >= floor.
+        # Finite Laurent sums are units only when they are monomials, so
+        # a non-monomial inverse never closes up exactly.
+        top = ops.shift(ops.one, -(floor + self.floor))
+        quot, _ = ops.divmod(top, self.raw)
+        return Laurent._wrap(self.field, ops, quot, floor, False)
 
     def divide(self, other, floor=None):
         return self * other.inverse(floor=floor)
@@ -314,27 +282,19 @@ class Laurent:
             raise PrecisionExhausted(
                 f"polynomial part needs digits down to 0, floor is {self.floor}"
             )
-        if self.deg_upper() is NEG_INF or self.deg_upper() < 0:
+        if self.deg_upper() < 0:
             return Poly.zero(self.field)
-        little = [self.coeff_at(d) for d in range(0, self.lead + 1)]
-        return Poly(self.field, little)
+        return Poly._wrap(self.field, self._window(0))
 
     def frac_part(self):
         """self minus its polynomial part (degrees <= -1 only)."""
-        if self.deg_upper() is NEG_INF or self.deg_upper() < 0:
+        if self.deg_upper() < 0:
             return self
         if not self.exact and self.floor > 0:
             raise PrecisionExhausted("fractional part unresolved")
-        lead = -1
-        if self.known_floor is NEG_INF:
-            if self.floor > -1:
-                return Laurent.zero(self.field)
-            vals = [self.coeff_at(d) for d in range(-1, self.floor - 1, -1)]
-            return Laurent(self.field, vals, -1, exact=True)
-        if self.floor > -1:
-            return Laurent.unknown_below(self.field, self.floor)
-        vals = [self.coeff_at(d) for d in range(-1, self.floor - 1, -1)]
-        return Laurent(self.field, vals, lead, exact=False, floor=self.floor)
+        ops, k = self.ops, max(-self.floor, 0)
+        low = ops.sub(self.raw, ops.shift(ops.drop(self.raw, k), k))
+        return Laurent._wrap(self.field, ops, low, self.floor, self.exact)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -347,14 +307,12 @@ class Laurent:
             isinstance(other, Laurent)
             and self.field == other.field
             and self.exact == other.exact
-            and self.coeffs == other.coeffs
-            and (self.exact or self.floor == other.floor)
-            and (not self.coeffs or self.lead == other.lead)
+            and self.raw == other.raw
+            and self.floor == other.floor
         )
 
     def __hash__(self):
-        return hash((self.field.q, self.exact, self.lead if self.coeffs else None,
-                     self.coeffs, None if self.exact else self.floor))
+        return hash((self.field.q, self.exact, self.raw, self.floor))
 
     def __repr__(self):
         from .literals import format_laurent
@@ -363,13 +321,34 @@ class Laurent:
 
     def agrees_with(self, other, down_to):
         """Digit-for-digit agreement at degrees >= down_to."""
-        top = max(self.deg_upper(), other.deg_upper(), down_to)
-        if top is NEG_INF:
-            return True
-        for d in range(top, down_to - 1, -1):
-            if self.coeff_at(d) != other.coeff_at(d):
-                return False
+        known = max([down_to] + [x.floor for x in (self, other)
+                                 if not x.exact])
+        if self._window(known) != other._window(known):
+            return False
+        if known > down_to:
+            raise PrecisionExhausted(
+                f"digit at degree {known - 1} below floor")
         return True
+
+
+def _fill(obj, field, ops, raw, floor, exact, tail_period):
+    """Set a Laurent's slots, moving an exact value's floor to its lowest
+    nonzero digit (0 for zero) so that equal values have equal slots."""
+    if exact:
+        if not raw:
+            floor = 0
+        else:
+            v = ops.val(raw)
+            if v:
+                raw = ops.drop(raw, v)
+                floor += v
+    obj.field = field
+    obj.ops = ops
+    obj.raw = raw
+    obj.floor = floor
+    obj.exact = exact
+    obj.tail_period = tail_period
+    return obj
 
 
 def laurent_from_rational(f, floor):
@@ -421,24 +400,6 @@ def laurent_from_rational(f, floor):
     vals = [digits.get(k, 0) for k in range(lead, floor - 1, -1)]
     return Laurent(field, vals, lead, exact=exact, floor=floor,
                    tail_period=tail_period)
-
-
-def laurent_arith(op, a, b=None):
-    """Dispatch add/sub/mul/inv by name (the module's operation surface)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def degree(a):
-    """Degree of a Laurent value (NEG_INF for known zero)."""
-    return a.degree()
 
 
 class LaurentVec:

@@ -6,6 +6,7 @@ Grammar (whitespace insignificant)::
     term   := coeff | coeff "*" "T" ["^" int] | "T" ["^" int]
     coeff  := integer in [0, p)               (prime fields)
             | "[" c0 "," c1 "," ... "]"       (extension fields, basis tuple)
+            | "0"                             (zero, in any field)
     bigoh  := "O(T^" int ")"
     int    := optionally signed decimal
 
@@ -55,12 +56,12 @@ def _tokenize(text):
 def _parse_coeff_token(tok, field):
     kind, val, pos = tok
     if kind == "int":
-        if field.r != 1:
+        v = int(val)
+        if field.r != 1 and v:  # "0", as printed for zero, needs no tuple
             raise LiteralSyntaxError(
                 "extension-field coefficients need a basis tuple [c0,...]",
                 pos,
             )
-        v = int(val)
         if not 0 <= v < field.p:
             raise CoefficientOutOfRange(
                 f"coefficient {v} outside [0, {field.p})"

@@ -1,15 +1,18 @@
 """Polynomials over F_q (the ring of integers of F_q((1/T))) and F_q(T).
 
-Public classes Poly and RatFn wrap a *raw* representation on which all
+Every digit sequence in the package -- a Poly, the listed digits of a
+Laurent value, a lattice entry -- is one *raw* value, on which all
 inner loops run:
 
-* q = 2:  a polynomial is an int bitmask, bit i = coefficient of T**i.
-  Row operations in lattice reduction become single shift-xor ops.
-* otherwise: a little-endian tuple of raw field elements, with tuple ops
-  dispatched through the FieldSpec lookup tables.
+* q = 2:  an int bitmask, bit i = coefficient of T**i.  Row operations
+  in lattice reduction become single shift-xor ops.
+* otherwise: a little-endian tuple of raw field elements whose last
+  entry is nonzero, with tuple ops dispatched through the FieldSpec lookup
+  tables.
 
 The adapter object (`ops_for(field)`) exposes the same method set for
-both representations so that lattice code never branches on q.
+both representations so that Poly, Laurent and the lattice code never
+branch on q.
 """
 
 from __future__ import annotations
@@ -71,6 +74,16 @@ class BitPolyOps:
     @staticmethod
     def shift(a, k):
         return a << k
+
+    @staticmethod
+    def drop(a, k):
+        """a // T**k: the k lowest digits dropped."""
+        return a >> k
+
+    @staticmethod
+    def val(a):
+        """Index of the lowest nonzero digit of a nonzero a."""
+        return (a & -a).bit_length() - 1
 
     @staticmethod
     def addmul(a, b, c, k):
@@ -174,6 +187,19 @@ class TuplePolyOps:
             return ()
         return (0,) * k + a
 
+    @staticmethod
+    def drop(a, k):
+        """a // T**k: the k lowest digits dropped."""
+        return a[k:]
+
+    @staticmethod
+    def val(a):
+        """Index of the lowest nonzero digit of a nonzero a."""
+        i = 0
+        while not a[i]:
+            i += 1
+        return i
+
     def addmul(self, a, b, c, k):
         """a + c * T**k * b."""
         if not c or not b:
@@ -233,18 +259,21 @@ class TuplePolyOps:
     def divmod(self, a, b):
         if not b:
             raise DivisionByZero("polynomial division by zero")
-        fsub, fmul = self.field.sub, self.field.mul
+        # rows of the field tables stand in for calls to field.add/mul
+        add, mul, neg = self.field._add, self.field._mul, self.field._neg
         inv_lead = self.field.inv(b[-1])
         rem = list(a)
         db = len(b) - 1
-        qlen = max(len(a) - db, 0)
-        quot = [0] * qlen
+        low = b[:-1]
+        quot = [0] * max(len(a) - db, 0)
         for k in range(len(rem) - 1, db - 1, -1):
-            c = fmul(rem[k], inv_lead)
+            c = mul[rem[k]][inv_lead]
             if c:
                 quot[k - db] = c
-                for j in range(db + 1):
-                    rem[k - db + j] = fsub(rem[k - db + j], fmul(c, b[j]))
+                row = mul[neg[c]]
+                rem[k - db:k] = [add[r][row[x]]
+                                 for r, x in zip(rem[k - db:k], low)]
+        rem = rem[:db]  # every digit from db up has been cancelled
         while rem and not rem[-1]:
             rem.pop()
         return tuple(quot), tuple(rem)

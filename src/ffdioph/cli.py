@@ -30,9 +30,13 @@ from .diophantine import (
     omega_estimate,
 )
 from .errors import FFDiophError
-from .experiments import ExperimentConfig, run_extremal, sample_unit_ball
+from .experiments import (
+    ExperimentConfig,
+    load_map,
+    run_extremal,
+    sample_unit_ball,
+)
 from .goodmaps import (
-    PolyMap,
     good_constants,
     lemma_closure_check,
     nonplanarity_check,
@@ -57,14 +61,6 @@ def _field(args):
     if getattr(args, "modulus", None):
         modulus = tuple(int(c) for c in args.modulus.split(","))
     return FieldSpec.get(args.q, modulus)
-
-
-def _parse_map(spec, field):
-    if spec.startswith("veronese:"):
-        return PolyMap.veronese(field, int(spec.split(":", 1)[1]))
-    from .experiments import load_map_file
-
-    return load_map_file(spec, field)
 
 
 def _fr(text):
@@ -193,7 +189,7 @@ def _cmd_dirichlet(args):
 
 def _cmd_goodcheck(args):
     field = _field(args)
-    f = _parse_map(args.map, field)
+    f = load_map(args.map, field)
     ball = origin_ball(field, f.d, args.ball_radius)
     if args.combo:
         combo = tuple(parse_laurent(c.strip(), field)
@@ -277,7 +273,7 @@ def _cmd_transfer(args):
         _emit({"kind": kind, "tau_max": args.tau_max, "results": results})
         return worst
     # set-family checks
-    f = _parse_map(args.map, field)
+    f = load_map(args.map, field)
     theta = parse_laurent(args.theta, field)
     V = origin_ball(field, f.d, -1)
     t_values = [int(x) for x in args.t.split(",")]

@@ -184,7 +184,7 @@ def validate_solution(inst, p, q):
                 acc = acc + inst.Y.entry(i, j) * q[j]
         if not acc.deg_le(-inst.t[i] - 1):
             raise AssertionError(f"row {i} misses the error target")
-        errs.append(acc.lead if acc.coeffs else
+        errs.append(acc.lead if acc.raw else
                     (NEG_INF if acc.exact else None))
     return ApproxSolution(tuple(p), tuple(q), tuple(errs), q_deg)
 
@@ -318,7 +318,7 @@ def cf_expand(y, max_terms=64):
             pc, pp = a * pc + pp, pc
             qc, qq = a * qc + qq, qc
         err = y * qc - Laurent.from_poly(pc)
-        if err.coeffs:
+        if err.raw:
             d = err.lead
         elif err.exact:
             d = NEG_INF
@@ -410,7 +410,7 @@ class _ProfileEngine:
                 if not t.is_known_zero():
                     storage = min(storage, t.floor)
                 fr = t.frac_part()
-                if fr.coeffs:
+                if fr.raw:
                     if d0_lo is NEG_INF or fr.lead > d0_lo:
                         d0_lo = fr.lead
                     if d0_hi is NEG_INF or fr.lead > d0_hi:
@@ -634,7 +634,7 @@ def brute_force_profile(Y, theta=None, tau_max=5, deg_p_max=None):
                 except PrecisionExhausted:
                     ambiguous = True
                     break
-                if f.coeffs:
+                if f.raw:
                     d = f.lead
                 elif f.exact:
                     d = NEG_INF

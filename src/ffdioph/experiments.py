@@ -60,10 +60,7 @@ class ExperimentConfig:
         return FieldSpec.get(self.q, self.modulus)
 
     def polymap(self):
-        if self.map_spec.startswith("veronese:"):
-            n = int(self.map_spec.split(":", 1)[1])
-            return PolyMap.veronese(self.field, n)
-        return load_map_file(self.map_spec, self.field)
+        return load_map(self.map_spec, self.field)
 
     def tau_grid(self):
         """Measurement horizons: half, three-quarter, and full tau_max."""
@@ -113,11 +110,16 @@ class ExperimentConfig:
         )
 
 
-def load_map_file(path, field):
-    """JSON map file: {"d": int, "components": [[{"exps", "coeff"}...]]}."""
+def load_map(spec, field):
+    """Polynomial map from "veronese:<n>" or a JSON map file path.
+
+    JSON map file: {"d": int, "components": [[{"exps", "coeff"}...]]}.
+    """
     from .algebra.literals import parse_poly
 
-    with open(path, encoding="utf-8") as fh:
+    if spec.startswith("veronese:"):
+        return PolyMap.veronese(field, int(spec.split(":", 1)[1]))
+    with open(spec, encoding="utf-8") as fh:
         doc = json.load(fh)
     comps = []
     for comp in doc["components"]:

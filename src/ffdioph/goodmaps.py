@@ -131,7 +131,7 @@ class BallSpec:
         if self.radius_exp > 0:
             raise ValueError("radius must not exceed the unit ball")
         for c in self.center:
-            if c.coeffs and c.lead > -1:
+            if c.raw and c.lead > -1:
                 raise ValueError("center must lie in the open unit ball")
 
     @property
@@ -262,7 +262,7 @@ class PolyMap:
     def perturbation_bounds(self, N):
         """Per-component degree bound for |f(x') - f(x)| on one cell.
 
-        Ultrametric Lipschitz估: points of a cell differ by e**(-N) and
+        Ultrametric Lipschitz bound: points of a cell differ by e**(-N) and
         all coordinates sit in the unit ball, so each non-constant
         monomial moves by at most |coeff| * e**(-N).
         """
@@ -297,7 +297,7 @@ def eval_map_on_cells(f, N, ball=None):
         vals = f.eval_at(point)
         row = []
         for v, pert in zip(vals, perts):
-            if v.coeffs:
+            if v.raw:
                 dgr = v.lead
             elif v.exact:
                 dgr = NEG_INF
@@ -374,7 +374,7 @@ def combo_degree_table(f, combo, N, ball):
         for c, v in zip(cf, vals):
             if not c.is_known_zero():
                 acc = acc + c * v
-        if acc.coeffs:
+        if acc.raw:
             dgr = acc.lead
         elif acc.exact:
             dgr = NEG_INF
@@ -589,7 +589,7 @@ def nonplanarity_check(f, ball, N, trials=64, seed=0):
             vals = f.eval_at(pt)
             rows.append((one,) + tuple(vals))
         det = _laurent_det(rows)
-        if det.coeffs:  # exact nonzero
+        if det.raw:  # exact nonzero
             return True, {"cells": picks, "points": points}
     return False, None
 

@@ -293,7 +293,7 @@ def shifted_sup_degree(entries, shifts):
     known = NEG_INF
     bounds = []
     for e, s in zip(entries, shifts):
-        if e.coeffs:
+        if e.raw:
             d = e.lead + s
             if known is NEG_INF or d > known:
                 known = d

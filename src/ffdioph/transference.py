@@ -159,7 +159,7 @@ def _member_sets(cfg, data, p, q, thresh, inhomogeneous):
         for qi, v in zip(q, vals):
             if not qi.is_zero():
                 acc = acc + v * qi
-        if acc.coeffs:
+        if acc.raw:
             d = acc.lead
         elif acc.exact:
             d = NEG_INF
@@ -254,7 +254,7 @@ def enum_alphas(cfg):
                     acc = acc + v * qi
             p = -acc.poly_part()
             frac = acc + Laurent.from_poly(p)
-            if frac.coeffs:
+            if frac.raw:
                 d = frac.lead
             elif frac.exact:
                 d = NEG_INF

@@ -1,6 +1,8 @@
 """Field, polynomial, Laurent, and literal layer."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_poly_mul, random_laurent, random_poly, seeded
 from ffdioph import (
@@ -17,13 +19,13 @@ from ffdioph import (
     sup_norm,
 )
 from ffdioph.algebra.degree import NEG_INF
-from ffdioph.algebra.laurent import laurent_arith
 from ffdioph.algebra.poly import poly_divmod, poly_gcd
 from ffdioph.errors import (
     AmbiguousZero,
     CoefficientOutOfRange,
     DivisionByZero,
     LiteralSyntaxError,
+    PrecisionExhausted,
 )
 
 
@@ -56,6 +58,18 @@ class TestFieldSpec:
     def test_element_wrapper(self, F9):
         u = F9.elem((0, 1))
         assert (u * u).coeffs == (2, 0)  # u^2 = -1 = 2 in F_9 with x^2+1
+
+    def test_rejects_q_above_table_limit(self):
+        with pytest.raises(ValueError):
+            FieldSpec.get(521)
+        with pytest.raises(ValueError):
+            FieldSpec(2, 10)
+
+    def test_elem_out_of_range(self, F9):
+        assert FieldSpec.get(5).elem(7) == FieldSpec.get(5).elem(2)
+        for raw in (9, 10, -1):
+            with pytest.raises(ValueError):
+                F9.elem(raw)
 
 
 class TestPoly:
@@ -159,16 +173,15 @@ class TestLaurent:
     def test_char2_cancellation(self, F2):
         a = parse_laurent("T + 1", F2)
         b = parse_laurent("T", F2)
-        assert laurent_arith("add", a, b) == parse_laurent("1", F2)
+        assert a + b == parse_laurent("1", F2)
 
     def test_inverse_monomial(self, F2):
-        assert laurent_arith("inv", parse_laurent("T", F2)) == \
-            parse_laurent("T^-1", F2)
+        assert parse_laurent("T", F2).inverse() == parse_laurent("T^-1", F2)
 
     def test_mul_example(self, F2):
         a = parse_laurent("T^-1 + T^-2", F2)
         b = parse_laurent("T", F2)
-        assert laurent_arith("mul", a, b) == parse_laurent("1 + T^-1", F2)
+        assert a * b == parse_laurent("1 + T^-1", F2)
 
     def test_inverse_roundtrip(self, F2, F3):
         rng = seeded(6)
@@ -272,8 +285,9 @@ class TestLiterals:
             and a.coeff_at(-3) == 1
         assert a.coeff_at(1) == 0
 
-    def test_parse_zero(self, F2):
+    def test_parse_zero(self, F2, F9):
         assert parse_laurent("0", F2).is_known_zero()
+        assert parse_laurent("0", F9).is_known_zero()
 
     def test_coefficient_out_of_range(self, F2):
         with pytest.raises(CoefficientOutOfRange):
@@ -307,3 +321,153 @@ class TestLiterals:
         f = parse_ratfn("(T^2+1)/T", F2)
         assert f.num == parse_poly("T^2 + 1", F2)
         assert f.den == parse_poly("T", F2)
+
+
+# -- property tests for the raw digit representation ------------------------
+
+FIELDS = {q: FieldSpec.get(q) for q in (2, 3, 9)}
+
+
+@st.composite
+def laurent_cases(draw, q):
+    """(value, little-endian digits, degree of digit 0, floor or None).
+
+    The digits are kept beside the value so that the checks below can
+    rebuild it as a Poly without going through Laurent code.
+    """
+    field = FIELDS[q]
+    n = draw(st.integers(0, 12))
+    digits = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    low = draw(st.integers(-10, 6))
+    exact = draw(st.booleans())
+    floor = None
+    if not exact:
+        floor = low - draw(st.integers(0, 3)) if n else low
+    big = list(reversed(digits))
+    value = Laurent(field, big, low + n - 1, exact=exact, floor=floor)
+    if floor is not None:
+        digits = [0] * (low - floor) + digits
+        low = floor
+    return value, digits, low, floor
+
+
+def _cleared(field, digits, low, base):
+    """The digits as a Poly in T, over T**base (base <= low)."""
+    return Poly(field, [0] * (low - base) + digits)
+
+
+def _poly_degree(field, digits, low):
+    """Degree of the listed digits as a value; None when all are zero."""
+    p = Poly(field, digits)
+    return None if p.is_zero() else low + p.deg
+
+
+def _assert_digits(value, expect, base, floor, exact):
+    """value has the digits of the Poly expect (over T**base) down to
+    floor, and no digit above expect's top."""
+    assert value.exact == exact
+    if not exact:
+        assert value.floor == floor
+    top = base + max(expect.deg, 0) if not expect.is_zero() else base
+    for d in range(floor, top + 2):
+        assert value.coeff_at(d) == expect.coeff(d - base)
+    assert not value.raw or value.degree() <= top
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+class TestRawRepresentation:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_add_matches_poly(self, q, data):
+        field = FIELDS[q]
+        a, da, la, fa = data.draw(laurent_cases(q))
+        b, db, lb, fb = data.draw(laurent_cases(q))
+        base = min(la, lb)
+        expect = (_cleared(field, da, la, base)
+                  + _cleared(field, db, lb, base))
+        floors = [f for f in (fa, fb) if f is not None]
+        floor = max(floors) if floors else base
+        _assert_digits(a + b, expect, base, floor, not floors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mul_matches_poly(self, q, data):
+        field = FIELDS[q]
+        a, da, la, fa = data.draw(laurent_cases(q))
+        b, db, lb, fb = data.draw(laurent_cases(q))
+        prod = a * b
+        if a.is_known_zero() or b.is_known_zero():
+            assert prod == Laurent.zero(field)
+            return
+        expect = (_cleared(field, da, la, la)
+                  * _cleared(field, db, lb, lb))
+        deg_a = _poly_degree(field, da, la)
+        deg_b = _poly_degree(field, db, lb)
+        # an operand's degree bound: its degree, or just below its floor
+        up_a = deg_a if deg_a is not None else fa - 1
+        up_b = deg_b if deg_b is not None else fb - 1
+        floors = []
+        if fa is not None:
+            floors.append(fa + up_b)
+        if fb is not None:
+            floors.append(fb + up_a)
+        floor = max(floors) if floors else la + lb
+        _assert_digits(prod, expect, la + lb, floor, not floors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_inverse_matches_rational_expansion(self, q, data):
+        field = FIELDS[q]
+        a, digits, low, _ = data.draw(laurent_cases(q))
+        assume(a.raw)
+        lead = a.degree()
+        want = data.draw(st.one_of(st.none(),
+                                   st.integers(-lead - 12, -lead + 2)))
+        inv = a.inverse(want)
+        if inv.is_ambiguous():
+            assert inv.floor > -lead
+            return
+        # 1/a = T**(-low) / A with A the listed digits as a polynomial
+        A = Poly(field, digits)
+        if low <= 0:
+            f = RatFn(Poly.T(field, -low), A)
+        else:
+            f = RatFn(Poly.one(field), A * Poly.T(field, low))
+        ref = laurent_from_rational(f, inv.floor)
+        if inv.exact:
+            assert inv == ref
+        else:
+            for d in range(inv.floor, -lead + 2):
+                assert inv.coeff_at(d) == ref.coeff_at(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equal_values_hash_equal(self, q, data):
+        field = FIELDS[q]
+        a, _, _, _ = data.draw(laurent_cases(q))
+        pad = data.draw(st.integers(0, 3))
+        coeffs = (0,) * pad + a.coeffs
+        if a.exact:
+            coeffs += (0,) * data.draw(st.integers(0, 3))
+        twins = [
+            a.shift(5).shift(-5),
+            a + Laurent.zero(field),
+            parse_laurent(format_laurent(a), field),
+            # tail_period is a note on how a value was made, not part of it
+            Laurent(field, coeffs, a.lead + pad, exact=a.exact,
+                    floor=None if a.exact else a.floor, tail_period=(0, 1)),
+        ]
+        for b in twins:
+            assert b == a
+            assert hash(b) == hash(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_coeff_below_floor(self, q, data):
+        a, _, _, _ = data.draw(laurent_cases(q))
+        d = a.floor - data.draw(st.integers(1, 5))
+        if a.exact:
+            assert a.coeff_at(d) == 0
+        else:
+            with pytest.raises(PrecisionExhausted):
+                a.coeff_at(d)

@@ -31,6 +31,13 @@ class TestCfrac:
         doc = json.loads(out)
         assert doc["reason"] in ("precision", "max_terms", "terminated")
 
+    @pytest.mark.parametrize("q", ["521", "1000000007"])
+    def test_field_above_table_limit(self, capsys, q):
+        code, out = run_cli(["cfrac", "--q", q, "--y", "T^-1"])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestExponent:
     def test_csv(self):
