@@ -158,10 +158,10 @@ class TuplePolyOps:
     def add(self, a, b):
         if len(a) < len(b):
             a, b = b, a
-        fadd = self.field.add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = fadd(out[i], c)
+        add = self.field._add
+        out = [add[x][y] for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return tuple(out) + a[len(b):]
         while out and not out[-1]:
             out.pop()
         return tuple(out)
@@ -170,16 +170,16 @@ class TuplePolyOps:
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        fneg = self.field.neg
-        return tuple(fneg(c) for c in a)
+        neg = self.field._neg
+        return tuple(neg[c] for c in a)
 
     def scalar_mul(self, a, c):
         if not c:
             return ()
         if c == 1:
             return a
-        fmul = self.field.mul
-        return tuple(fmul(x, c) for x in a)
+        row = self.field._mul[c]
+        return tuple(row[x] for x in a)
 
     @staticmethod
     def shift(a, k):
@@ -204,17 +204,16 @@ class TuplePolyOps:
         """a + c * T**k * b."""
         if not c or not b:
             return a
-        fadd, fmul = self.field.add, self.field.mul
-        n = max(len(a), len(b) + k)
-        out = list(a) + [0] * (n - len(a))
+        add = self.field._add
+        n = len(b) + k
+        out = list(a)
+        if len(out) < n:
+            out.extend([0] * (n - len(out)))
         if c == 1:
-            for i, x in enumerate(b):
-                if x:
-                    out[i + k] = fadd(out[i + k], x)
+            out[k:n] = [add[x][y] for x, y in zip(out[k:n], b)]
         else:
-            for i, x in enumerate(b):
-                if x:
-                    out[i + k] = fadd(out[i + k], fmul(x, c))
+            row = self.field._mul[c]
+            out[k:n] = [add[x][row[y]] for x, y in zip(out[k:n], b)]
         while out and not out[-1]:
             out.pop()
         return tuple(out)
@@ -224,15 +223,15 @@ class TuplePolyOps:
             return ()
         if self._packed_mul_ok:
             return self._mul_packed(a, b)
-        fadd, fmul = self.field.add, self.field.mul
-        out = [0] * (len(a) + len(b) - 1)
+        # one table row per digit of a, one comprehension per row
+        add, mul = self.field._add, self.field._mul
+        lb = len(b)
+        out = [0] * (len(a) + lb - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = fadd(out[i + j], fmul(x, y))
-        while out and not out[-1]:
-            out.pop()
+                row = mul[x]
+                out[i:i + lb] = [add[o][row[y]]
+                                 for o, y in zip(out[i:i + lb], b)]
         return tuple(out)
 
     def _mul_packed(self, a, b):

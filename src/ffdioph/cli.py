@@ -108,13 +108,28 @@ def _load_forms(args, field):
     except OSError:
         lines = None
     if lines is not None:
+        if not lines:
+            raise ValueError("matrix file is empty")
         header = dict(item.split("=", 1) for item in lines[0].split()
                       if "=" in item)
-        m = int(header["rows"])
+        try:
+            m, n = int(header["rows"]), int(header["cols"])
+        except (KeyError, ValueError):
+            raise ValueError(
+                "matrix file header needs rows=<int> and cols=<int>"
+            ) from None
+        if m < 1 or n < 1:
+            raise ValueError("matrix file needs rows >= 1 and cols >= 1")
+        if len(lines) - 1 != m:
+            raise ValueError(f"matrix file header says rows={m} but "
+                             f"{len(lines) - 1} data lines follow")
         rows = []
-        for ln in lines[1:m + 1]:
-            rows.append([parse_laurent(c.strip(), field)
-                         for c in ln.split("|")])
+        for i, ln in enumerate(lines[1:], 1):
+            cells = ln.split("|")
+            if len(cells) != n:
+                raise ValueError(f"matrix file row {i} has {len(cells)} "
+                                 f"entries, header says cols={n}")
+            rows.append([parse_laurent(c.strip(), field) for c in cells])
         return LaurentMat(rows)
     if ";" in text:
         entries = [parse_laurent(t.strip(), field)

@@ -8,9 +8,13 @@ best-approximation profile
                    p in Lambda^m, q in Lambda^n nonzero, deg q_j < tau }
 
 is computed exactly by probing a fixed module with varying shifts.  A
-probe asks "is there a module element of shifted degree <= 0?"; the
+probe asks "is there a module element of shifted degree <= 0?" (or,
+inhomogeneously, "is the closest-vector distance to theta <= 0?"); the
 homogeneous side answers by an early-stopped weak Popov reduction, the
-inhomogeneous side by Babai rounding.  For thresholds at or above
+inhomogeneous side by a full reduction and then one division of the
+target by the reduced basis.  All probes share one working basis and
+one target, carried from probe to probe, so a probe only redoes the
+elimination its new shift needs.  For thresholds at or above
 d0 = max_i deg frac(theta_i) the two sides agree outright: adding a
 polynomial vector that best-approximates theta converts witnesses both
 ways under the ultrametric, so only thresholds below d0 ever need the
@@ -36,8 +40,8 @@ from .errors import (
 from .polylattice import (
     PolyMat,
     Shift,
-    _adjugate_apply,
     _reduce_raw,
+    _reduce_target,
     shortest_vector,
     weak_popov,
 )
@@ -372,19 +376,29 @@ class BestProfile:
 
 
 class _ProfileEngine:
-    """Shared state for all probes against one (Y, theta) pair."""
+    """Shared state for all probes against one (Y, theta) pair.
+
+    ``cur`` is the one working basis and ``target`` the one cleared
+    inhomogeneous target; every probe reduces them in place under its
+    own shift, with no copy of the raw basis.  This is exact because
+    every row operation is unimodular, so ``cur`` always spans the
+    module (a basis left half-reduced by an early-stopped probe too),
+    and ``target`` always differs from theta's cleared digits by a
+    module vector; each probe's answer -- "is there a module vector of
+    shifted degree <= 0" or "is the distance to the target <= 0" -- is
+    an invariant of the module and the target's coset.
+    """
 
     def __init__(self, Y, theta):
         self.field = Y.field
         self.m, self.n = Y.m, Y.n
-        self.k = self.m + self.n
         self.ops = ops_for(self.field)
         theta_floor = None
         if theta is not None:
             floors = [t.floor for t in theta if not t.is_known_zero()]
             theta_floor = min(floors) if floors else None
-        self.M, self.col_scale = _cleared_system(Y, extra_floor=theta_floor)
-        self.raw = self.M.raw_rows()
+        M, self.col_scale = _cleared_system(Y, extra_floor=theta_floor)
+        self.cur = M.raw_rows()
         # knowledge floor across inputs (NEG_INF when everything exact)
         kf = NEG_INF
         storage = 0
@@ -418,11 +432,13 @@ class _ProfileEngine:
                 elif not fr.exact:
                     if d0_hi is NEG_INF or fr.floor - 1 > d0_hi:
                         d0_hi = fr.floor - 1
-            self.targets = [
-                theta[i].known_part(self.col_scale[i]).shift(
-                    -self.col_scale[i])
+            # cleared theta digits: exact polynomials, since each column
+            # scale lies at or below theta's floor
+            self.target = [
+                theta[i].known_part(self.col_scale[i])
+                .shift(-self.col_scale[i]).poly_part().raw
                 for i in range(self.m)
-            ] + [Laurent.zero(self.field)] * self.n
+            ] + [self.ops.zero] * self.n
         self.d0_lo = d0_lo
         self.d0_hi = d0_hi
         self.known_floor = kf
@@ -439,9 +455,8 @@ class _ProfileEngine:
         Valid for L <= -1: a module element of shifted degree <= 0 with
         q = 0 would need deg p_i <= L < 0, impossible for p nonzero.
         """
-        rows = [r[:] for r in self.raw]
-        _, hit = _reduce_raw(self.ops, self.field, rows, self._seff(L, tau),
-                             stop_degree=0)
+        _, hit = _reduce_raw(self.ops, self.field, self.cur,
+                             self._seff(L, tau), stop_degree=0)
         return hit is not None
 
     def exists_inhom(self, L, tau):
@@ -453,23 +468,13 @@ class _ProfileEngine:
             raise PrecisionExhausted(
                 "theta's fractional degree is unresolved at this level"
             )
-        rows = [r[:] for r in self.raw]
         seff = self._seff(L, tau)
-        _reduce_raw(self.ops, self.field, rows, seff)
-        coeffs = _babai_round(self.ops, self.field, rows, self.targets)
-        # residual = target - c*R; Babai is optimal, so one failed bound
-        # settles the probe negatively
-        for j in range(self.k):
-            acc = self.ops.zero
-            for i in range(self.k):
-                if coeffs[i] and rows[i][j]:
-                    acc = self.ops.add(acc,
-                                       self.ops.mul(coeffs[i], rows[i][j]))
-            res = self.targets[j] - Laurent.from_poly(
-                Poly._wrap(self.field, acc))
-            if not res.deg_le(-seff[j]):
-                return False
-        return True
+        pivots, _ = _reduce_raw(self.ops, self.field, self.cur, seff)
+        # the remainder stays as the target: it differs from theta's by a
+        # module vector, so every later distance is unchanged
+        dist = _reduce_target(self.ops, self.field, self.cur, pivots, seff,
+                              self.target, stop_degree=0)
+        return dist <= 0
 
     def exists(self, L, tau):
         if self.theta is None:
@@ -518,27 +523,6 @@ class _ProfileEngine:
         if self.known_floor is not NEG_INF and hi - 1 < limit:
             return hi, False
         return hi, True
-
-
-def _babai_round(ops, field, rows, targets):
-    """Rounding coefficients of the targets against a reduced basis.
-
-    All targets here are exact finite sums, so the polynomial part of
-    (w * adj(R))_i / det(R) is a single polynomial division once the
-    monomial denominators are cleared.
-    """
-    nums, det = _adjugate_apply(ops, field, rows, targets)
-    coeffs = []
-    for x in nums:
-        if x.is_known_zero():
-            coeffs.append(ops.zero)
-            continue
-        shift = -x.floor if x.floor < 0 else 0
-        a = x.shift(shift).poly_part().raw
-        d = ops.shift(det, shift)
-        quot, _ = ops.divmod(a, d)
-        coeffs.append(quot)
-    return coeffs
 
 
 def best_profile(Y, theta=None, tau_max=10, guard=8, taus=None):

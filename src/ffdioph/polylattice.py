@@ -6,8 +6,11 @@ cleared into polynomials.  Reduction to shifted weak Popov form (rows
 with pairwise distinct leading positions under per-column integer
 shifts) makes the basis orthogonal in the sup-degree norm: the shifted
 degree of any combination equals the max of coefficient degree plus row
-degree.  Successive minima, shortest vectors, and closest vectors
-(non-archimedean Babai rounding) then read off exactly.
+degree.  Successive minima and shortest vectors then read off exactly,
+and a closest vector is one division of the target by the reduced
+basis: the target's leading term is cancelled against the row owning
+its pivot column until no row's degree fits under it
+(``_reduce_target``).
 
 The inner elimination loop runs on raw coefficient representations (int
 bitmasks over F_2, tuples elsewhere); see algebra.poly.
@@ -195,6 +198,49 @@ def _reduce_raw(ops, field, rows, seff, u_rows=None, stop_degree=None):
     return pivots, None
 
 
+def _reduce_target(ops, field, rows, pivots, seff, r, stop_degree=None,
+                   coeffs=None):
+    """Divide the raw target r by an s-reduced basis in place.
+
+    Each step takes r's pivot column j at shifted degree D and, when D
+    is at least the degree d of the row owning column j, cancels r's
+    leading term there with c*T**(D-d) times that row.  Returns the
+    shifted degree of the remainder (NEG_INF when it is zero), stopping
+    early once it is at most ``stop_degree``.  The quotient terms are
+    added into ``coeffs`` when given.
+
+    A remainder that cannot be divided further (D < d) is a closest-
+    vector residual: any module vector of shifted degree D has its pivot
+    p != j (the owner of j would need degree >= d > D), so r - v keeps
+    degree D in column max(p, j).
+    """
+    owner = [None] * len(rows)
+    for i, (j, d) in enumerate(pivots):
+        owner[j] = (i, d)
+    addmul = ops.addmul
+    lc = ops.lc
+    neg = field.neg
+    div = field.div
+    while True:
+        j, D = _row_pivot(ops, r, seff)
+        if j < 0:
+            return NEG_INF
+        if stop_degree is not None and D <= stop_degree:
+            return D
+        i, d = owner[j]
+        if D < d:
+            return D
+        row = rows[i]
+        c = div(lc(r[j]), lc(row[j]))
+        delta = D - d
+        nc = neg(c)
+        for col, e in enumerate(row):
+            if e:
+                r[col] = addmul(r[col], e, nc, delta)
+        if coeffs is not None:
+            coeffs[i] = addmul(coeffs[i], ops.one, c, delta)
+
+
 def weak_popov(M, s=None):
     """Reduce M to s-shifted weak Popov form; returns the ReducedBasis."""
     if s is None:
@@ -228,141 +274,106 @@ def shortest_vector(rb):
     return rb.matrix.rows[best_i], rb.pivots[best_i][1], best_i
 
 
-def _adjugate_apply(ops, field, raw, w_entries):
-    """(w * adj(raw), det raw) with Laplace expansion and memoised minors."""
-    k = len(raw)
-    full_mask = (1 << k) - 1
+def _absorbs_top(ops, field, rows, pivots, seff, rem, cleared, level):
+    """Could unknown digits at shifted degree ``level`` cancel the top of rem?
 
-    def det_excluding(skip_row):
-        rows_idx = [r for r in range(k) if r != skip_row]
-        memo = {}
+    The top digits of rem - m, for m in the module with shifted degree
+    <= level, are top(rem) minus a combination of the rows' top digits
+    (rows of degree <= level only).  A completion of the unknown digits
+    brings the distance below ``level`` exactly when such a difference
+    is supported on unknown positions, i.e. when top(rem) lies in the
+    span of the row tops once those positions are dropped.
+    """
+    keep = [j for j, (x, s) in enumerate(zip(cleared, seff))
+            if x.exact or x.floor - 1 + s != level]
 
-        def D(ri, mask):
-            if ri == len(rows_idx):
-                return ops.one
-            key = (ri, mask)
-            if key in memo:
-                return memo[key]
-            row = raw[rows_idx[ri]]
-            acc = ops.zero
-            parity = 0
-            m = mask
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                e = row[j]
-                if e:
-                    sub = D(ri + 1, mask ^ low)
-                    if sub:
-                        term = ops.mul(e, sub)
-                        if parity & 1:
-                            term = ops.neg(term)
-                        acc = ops.add(acc, term)
-                parity += 1
-                m ^= low
-            memo[key] = acc
-            return acc
+    def top(vec, d):
+        return [ops.coeff(vec[j], d - seff[j]) for j in keep]
 
-        return D
+    basis = []  # (pivot, vector scaled to 1 at its pivot)
 
-    # x_i = sum_j w_j * cofactor(i, j), cofactor from the row-i-deleted minor
-    out = []
-    for i in range(k):
-        D = det_excluding(i)
-        acc = None
-        for j in range(k):
-            if w_entries[j].is_known_zero():
-                continue
-            minor = D(0, full_mask ^ (1 << j))
-            if not minor:
-                continue
-            term = w_entries[j] * Poly._wrap(field, minor)
-            if (i + j) & 1:
-                term = -term
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None
-                   else Laurent.zero(w_entries[0].field))
-    # determinant: expand the full matrix
-    Dfull = det_excluding(-1)
-    det = Dfull(0, full_mask)
-    return out, det
+    def reduce(v):
+        for p, b in basis:
+            c = v[p]
+            if c:
+                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, b)]
+        return v
 
-
-def shifted_sup_degree(entries, shifts):
-    """Sup of deg(entry)+shift; raises when ambiguity hides the answer."""
-    known = NEG_INF
-    bounds = []
-    for e, s in zip(entries, shifts):
-        if e.raw:
-            d = e.lead + s
-            if known is NEG_INF or d > known:
-                known = d
-        elif not e.exact:
-            bounds.append(e.floor - 1 + s)
-    for b in bounds:
-        if known is NEG_INF or b > known:
-            raise PrecisionExhausted(
-                "sup degree hidden below a precision floor"
-            )
-    return known
+    for i, (_, d) in enumerate(pivots):
+        if d <= level:
+            v = reduce(top(rows[i], d))
+            p = next((j for j, x in enumerate(v) if x), None)
+            if p is not None:
+                inv = field.inv(v[p])
+                basis.append((p, [field.mul(inv, x) for x in v]))
+    return not any(reduce(top(rem, level)))
 
 
 def closest_vector(rb, w):
-    """Nearest module vector to w in the shifted sup-degree norm.
+    """A nearest module vector to w in the shifted sup-degree norm.
 
-    Babai rounding against the reduced basis: solve x = w * R**(-1)
-    over the Laurent field, round each coordinate to its polynomial
-    part, and return (lattice vector, residual shifted degree).  With a
-    weak Popov basis the rounding is exactly optimal: any change of a
-    coefficient raises its fractional degree from below 0 to at least 0,
-    and the orthogonality of the basis turns that into a no-smaller
-    residual.
+    Returns (v, shifted distance, coefficients of v in the reduced
+    basis).  In cleared coordinates the known digits of w at degrees
+    >= 0 (unknown digits read as 0) form a polynomial target P, which is
+    divided to completion by the reduced basis: v = P minus the
+    remainder, a closest vector to P.  The module is polynomial, so the
+    fractional digits of w only add a fixed term: the distance is the
+    max of the remainder's degree and the fractional digits' degree.
+
+    Raises PrecisionExhausted when unknown digits could change it:
+    unknown fractional digits must stay at or below the distance, and
+    unknown digits at degrees >= 0, which another module vector might
+    absorb, must stay at or below the known fractional degree (which
+    then settles the distance), or else below the remainder's degree,
+    or level with it but unable to cancel its top digits
+    (``_absorbs_top``).
     """
     R = rb.matrix
     k = R.k
     entries = w.entries if isinstance(w, LaurentVec) else tuple(w)
     if len(entries) != k:
         raise ValueError("target length mismatch")
-    ops = ops_for(R.field)
-    # into cleared coordinates
-    wc = [entries[j].shift(-R.col_scale[j]) for j in range(k)]
-    raw = [[e.raw for e in row] for row in R.rows]
-    nums, det = _adjugate_apply(ops, R.field, raw, wc)
-    if not det:
-        raise RankDeficient("reduced basis with zero determinant")
-    det_poly = Poly._wrap(R.field, det)
-    coeffs = []
-    for x in nums:
-        if x.is_known_zero():
-            coeffs.append(Poly.zero(R.field))
-            continue
-        if x.exact:
-            # clear the monomial denominator; quotient = polynomial part
-            sh = -x.floor if x.floor < 0 else 0
-            a = x.shift(sh).poly_part()
-            q, _ = divmod(a, det_poly.shifted(sh))
-            coeffs.append(q)
-            continue
-        quot = x.divide(Laurent.from_poly(det_poly),
-                        floor=-(max(0, x.lead) + 2))
-        try:
-            coeffs.append(quot.poly_part())
-        except PrecisionExhausted as exc:
-            raise PrecisionExhausted(
-                "target floors too shallow for Babai rounding"
-            ) from exc
-    # v = c * R in true coordinates
-    v = []
-    for j in range(k):
-        acc = ops.zero
-        for i in range(k):
-            if coeffs[i].raw and raw[i][j]:
-                acc = ops.add(acc, ops.mul(coeffs[i].raw, raw[i][j]))
-        v.append(Laurent.from_poly(Poly._wrap(R.field, acc))
-                 .shift(R.col_scale[j]))
-    residual = [entries[j] - v[j] for j in range(k)]
-    dist = shifted_sup_degree(residual, rb.shift)
-    return tuple(v), dist, tuple(coeffs)
+    field = R.field
+    ops = ops_for(field)
+    cs = R.col_scale
+    seff = tuple(rb.shift[j] + cs[j] for j in range(k))
+    cleared = [entries[j].shift(-cs[j]) for j in range(k)]
+    target = [x.known_part(0).poly_part().raw for x in cleared]
+    rows = R.raw_rows()
+    rem = list(target)
+    coeffs = [ops.zero] * k
+    poly_dist = _reduce_target(ops, field, rows, rb.pivots, seff, rem,
+                               coeffs=coeffs)
+    # frac: degree of the known fractional digits; hidden_poly and
+    # hidden_frac: bounds on the unknown digits at degrees >= 0 and < 0
+    frac = hidden_poly = hidden_frac = NEG_INF
+    for x, s in zip(cleared, seff):
+        if x.floor < 0:
+            f = x.frac_part()
+            if f.raw:
+                frac = max(frac, f.lead + s)
+        if not x.exact:
+            if x.floor > 0:
+                hidden_poly = max(hidden_poly, x.floor - 1 + s)
+                hidden_frac = max(hidden_frac, s - 1)
+            else:
+                hidden_frac = max(hidden_frac, x.floor - 1 + s)
+    dist = max(poly_dist, frac)
+    if dist < hidden_frac or (
+            frac < hidden_poly
+            and (poly_dist < hidden_poly
+                 or (poly_dist == hidden_poly
+                     and _absorbs_top(ops, field, rows, rb.pivots, seff,
+                                      rem, cleared, poly_dist)))):
+        raise PrecisionExhausted(
+            "unknown digits of the target hide the closest-vector distance"
+        )
+    v = tuple(
+        Laurent.from_poly(Poly._wrap(field, ops.sub(target[j], rem[j])))
+        .shift(cs[j])
+        for j in range(k)
+    )
+    return v, dist, tuple(Poly._wrap(field, c) for c in coeffs)
 
 
 # -- matrix file format -----------------------------------------------------

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -68,6 +71,33 @@ class TestExponent:
         assert code == 0
         doc = json.loads(out)
         assert (doc["m"], doc["n"]) == (1, 2)
+
+    @pytest.mark.parametrize("text, problem", [
+        # header promises two forms, file holds one
+        ("q=2 rows=2 cols=2\nT^-1 + O(T^-44) | T^-2 + O(T^-44)\n",
+         "rows=2"),
+        # a row with fewer entries than cols
+        ("q=2 rows=1 cols=2\nT^-1 + O(T^-44)\n", "cols=2"),
+        # a row with more entries than cols
+        ("q=2 rows=1 cols=1\nT^-1 + O(T^-44) | T^-2 + O(T^-44)\n",
+         "cols=1"),
+        ("q=2 cols=2\nT^-1 + O(T^-44) | T^-2 + O(T^-44)\n", "rows="),
+        ("q=2 rows=1\nT^-1 + O(T^-44) | T^-2 + O(T^-44)\n", "cols="),
+        ("q=2 rows=x cols=2\nT^-1 + O(T^-44) | T^-2 + O(T^-44)\n",
+         "rows="),
+        ("q=2 rows=0 cols=2\n", "rows >= 1"),
+        ("\n", "empty"),
+    ])
+    def test_matrix_file_mismatch(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "Y.txt"
+        path.write_text(text)
+        code, out = run_cli([
+            "exponent", "--q", "2", "--Y", str(path), "--tau-max", "10",
+        ])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix file") and err.count("\n") == 1
+        assert problem in err
 
 
 class TestDirichlet:
@@ -219,3 +249,21 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["cfrac"])
         assert exc.value.code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        # `python -m ffdioph` runs the same CLI as the installed script
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffdioph", "cfrac", "--q", "2",
+             "--y", "(T^2+1)/T"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(
+            ["cfrac", "--q", "2", "--y", "(T^2+1)/T"])[1]

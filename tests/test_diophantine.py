@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     liouville_point,
@@ -11,6 +13,7 @@ from conftest import (
     seeded,
 )
 from ffdioph import (
+    FieldSpec,
     Laurent,
     LaurentMat,
     Poly,
@@ -421,3 +424,109 @@ class TestOmegaEstimate:
         d = omega_estimate(prof, 1, 1, tau_min=3).as_json_dict()
         assert d["omega_lower"] == "1/1"
         assert d["tau_range"] == [1, 8]
+
+
+# -- warm-started profile engine -------------------------------------------
+
+PROFILE_FIELDS = {q: FieldSpec.get(q) for q in (2, 3)}
+
+
+@st.composite
+def profile_inputs(draw, q, shapes, tau_max, homogeneous=None):
+    """(Y, theta) with digits from T^-1 down; theta None when homogeneous.
+
+    Inexact entries are listed down to a floor a few digits below the
+    one best_profile requires at tau_max, so probes near the
+    certification limit are exercised too.
+    """
+    field = PROFILE_FIELDS[q]
+    m, n = draw(st.sampled_from(shapes))
+    exact = draw(st.booleans())
+    floor = -(n + 1) * tau_max - 8 - draw(st.integers(0, 3))
+
+    def entry():
+        if exact:
+            size = draw(st.integers(0, -floor))
+        else:
+            size = -floor
+        digits = draw(st.lists(st.integers(0, q - 1),
+                               min_size=size, max_size=size))
+        return Laurent(field, digits, -1, exact=exact,
+                       floor=None if exact else floor)
+
+    Y = LaurentMat([[entry() for _ in range(n)] for _ in range(m)])
+    if homogeneous is None:
+        homogeneous = draw(st.booleans())
+    theta = None if homogeneous else tuple(entry() for _ in range(m))
+    return Y, theta
+
+
+def _probe(engine, L, tau):
+    try:
+        return engine.exists(L, tau)
+    except PrecisionExhausted:
+        return "precision"
+
+
+@pytest.mark.parametrize("q", sorted(PROFILE_FIELDS))
+class TestWarmProfileEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_profile_matches_brute_force(self, q, data):
+        tau_max = data.draw(st.integers(1, 4 if q == 2 else 3))
+        Y, theta = data.draw(profile_inputs(
+            q, ((1, 1), (1, 2), (2, 1)), tau_max))
+        got = best_profile(Y, theta, tau_max=tau_max)
+        try:
+            want = brute_force_profile(Y, theta, tau_max=tau_max)
+        except PrecisionExhausted:
+            assert not Y.entry(0, 0).exact
+            return  # every candidate is hidden below the floor
+        for g, w in zip(got.entries, want.entries):
+            if g.exact and w.exact:
+                assert g.L == w.L, (g, w)
+        if Y.entry(0, 0).exact:
+            assert all(e.exact for e in got.entries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_warm_probes_match_fresh_engine(self, q, data):
+        # the carried basis and target never change a probe's answer,
+        # whatever order the probes come in
+        from ffdioph.diophantine import _ProfileEngine
+
+        Y, theta = data.draw(profile_inputs(
+            q, ((1, 1), (1, 2), (2, 1), (2, 2)), 6))
+        engine = _ProfileEngine(Y, theta)
+        probes = data.draw(st.lists(
+            st.tuples(st.integers(-14, -1), st.integers(1, 6)),
+            min_size=1, max_size=16))
+        for L, tau in probes:
+            assert _probe(engine, L, tau) == \
+                _probe(_ProfileEngine(Y, theta), L, tau), (L, tau)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_continued_fraction_oracle(self, q, data):
+        # 1x1: L(tau) = -deg q_{k+1} = deg(q_k y - p_k) for
+        # deg q_k < tau <= deg q_{k+1}; no lattice involved
+        tau_max = data.draw(st.integers(1, 10))
+        Y, _ = data.draw(profile_inputs(q, ((1, 1),), tau_max,
+                                        homogeneous=True))
+        y = Y.entry(0, 0)
+        assume(not y.is_ambiguous())
+        cf = cf_expand(y)
+        prof = best_profile(Y, None, tau_max=tau_max)
+        degs = [qk.deg for _, qk in cf.convergents]
+        checked = 0
+        for e in prof.entries:
+            if not e.exact:
+                continue
+            k = max(i for i, d in enumerate(degs) if d < e.tau)
+            err = cf.err_degs[k]
+            if err is not NEG_INF and -err < e.tau:
+                continue  # q_{k+1} lies beyond the expansion's precision
+            assert e.L == err, (e, degs, cf.err_degs)
+            checked += 1
+        if y.exact:
+            assert checked == tau_max

@@ -362,6 +362,57 @@ class TestClosestVectorInexact:
                     best = cand
             assert dist == best
 
+    @staticmethod
+    def brute_dist(rb, w, coeff_deg):
+        best = sup_norm(w)  # the zero lattice vector
+        for _, vec in brute_module_vectors(rb.matrix, coeff_deg):
+            cand = sup_norm(LaurentVec([w[j] - Laurent.from_poly(vec[j])
+                                        for j in range(len(vec))]))
+            if cand < best:
+                best = cand
+        return best
+
+    def test_tie_with_unknown_digits_resolves(self, F2):
+        # the remainder's degree 3 equals the top unknown digit of w_1,
+        # but no module vector of degree <= 3 reaches column 0, so every
+        # completion of w_1 is at distance 3.  Rounding w * R**(-1) could
+        # not tell: its second coordinate has an unknown polynomial part.
+        M = PolyMat([[parse_poly("T^10", F2), Poly.zero(F2)],
+                     [Poly.zero(F2), Poly.one(F2)]])
+        rb = weak_popov(M)
+        w = LaurentVec([parse_laurent("T^3", F2),
+                        parse_laurent("O(T^3)", F2)])
+        _, dist, _ = closest_vector(rb, w)
+        assert dist == 3
+        # coefficients of degree > 3 overshoot the target, so the
+        # enumeration is exhaustive; the T^-1 digit stands in for the
+        # unknown fractional tail
+        for code in range(2**4):
+            for tail in ("0", "T^-1"):
+                u = Laurent.from_poly(Poly(F2, [(code >> i) & 1
+                                                for i in range(4)]))
+                done = LaurentVec([w[0], u + parse_laurent(tail, F2)])
+                assert self.brute_dist(rb, done, 3) == 3
+
+    def test_tie_absorbed_by_unknown_digits_raises(self, F2):
+        # here the module vector (T^3, T^3) matches w_0 and the unknown
+        # digit of w_1 at T^3: completions disagree on the distance
+        from ffdioph.errors import PrecisionExhausted
+
+        M = PolyMat([[Poly.one(F2), Poly.one(F2)],
+                     [Poly.zero(F2), parse_poly("T^10", F2)]])
+        rb = weak_popov(M)
+        w = LaurentVec([parse_laurent("T^3", F2),
+                        parse_laurent("O(T^3)", F2)])
+        with pytest.raises(PrecisionExhausted):
+            closest_vector(rb, w)
+        low = LaurentVec([w[0], Laurent.zero(F2)])
+        high = LaurentVec([w[0], parse_laurent("T^3", F2)])
+        assert self.brute_dist(rb, low, 3) == 3
+        assert self.brute_dist(rb, high, 3) is NEG_INF
+        assert closest_vector(rb, low)[1] == 3
+        assert closest_vector(rb, high)[1] is NEG_INF
+
     def test_shallow_target_raises(self, F2):
         from ffdioph.errors import PrecisionExhausted
 
