@@ -36,12 +36,7 @@ from .experiments import (
     run_extremal,
     sample_unit_ball,
 )
-from .goodmaps import (
-    good_constants,
-    lemma_closure_check,
-    nonplanarity_check,
-    origin_ball,
-)
+from .goodmaps import CellGrid, nonplanarity_check, origin_ball
 from .qpow import QPow
 from .transference import (
     SetFamilyConfig,
@@ -100,37 +95,56 @@ def _cmd_cfrac(args):
 # -- exponent ----------------------------------------------------------------
 
 
+def _read_table(path, what, keys):
+    """Header and '|'-separated entry rows of a matrix or instance file.
+
+    The first nonblank line is the header; it must give every name in
+    keys as key=<int>, the first two being the row and entry counts (each
+    >= 1).  Exactly that many data lines follow, each with that many
+    entries.  Returns (header, integers of keys, rows of entry strings);
+    a malformed file raises ValueError naming `what`.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"{what} is empty")
+    header = dict(item.split("=", 1) for item in lines[0].split()
+                  if "=" in item)
+    try:
+        ints = {k: int(header[k]) for k in keys}
+    except (KeyError, ValueError):
+        raise ValueError(f"{what} header needs "
+                         + " and ".join(f"{k}=<int>" for k in keys)) from None
+    rows_key, cols_key = keys[:2]
+    m, n = ints[rows_key], ints[cols_key]
+    if m < 1 or n < 1:
+        raise ValueError(f"{what} needs {rows_key} >= 1 and {cols_key} >= 1")
+    if len(lines) - 1 != m:
+        raise ValueError(f"{what} header says {rows_key}={m} but "
+                         f"{len(lines) - 1} data lines follow")
+    rows = []
+    for i, ln in enumerate(lines[1:], 1):
+        cells = ln.split("|")
+        if len(cells) != n:
+            raise ValueError(f"{what} row {i} has {len(cells)} entries, "
+                             f"header says {cols_key}={n}")
+        rows.append([c.strip() for c in cells])
+    return header, ints, rows
+
+
+def _laurent_rows(rows, field):
+    return LaurentMat([[parse_laurent(c, field) for c in row]
+                       for row in rows])
+
+
 def _load_forms(args, field):
     text = args.Y
     try:
-        with open(text, encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        _, _, rows = _read_table(text, "matrix file", ("rows", "cols"))
     except OSError:
-        lines = None
-    if lines is not None:
-        if not lines:
-            raise ValueError("matrix file is empty")
-        header = dict(item.split("=", 1) for item in lines[0].split()
-                      if "=" in item)
-        try:
-            m, n = int(header["rows"]), int(header["cols"])
-        except (KeyError, ValueError):
-            raise ValueError(
-                "matrix file header needs rows=<int> and cols=<int>"
-            ) from None
-        if m < 1 or n < 1:
-            raise ValueError("matrix file needs rows >= 1 and cols >= 1")
-        if len(lines) - 1 != m:
-            raise ValueError(f"matrix file header says rows={m} but "
-                             f"{len(lines) - 1} data lines follow")
-        rows = []
-        for i, ln in enumerate(lines[1:], 1):
-            cells = ln.split("|")
-            if len(cells) != n:
-                raise ValueError(f"matrix file row {i} has {len(cells)} "
-                                 f"entries, header says cols={n}")
-            rows.append([parse_laurent(c.strip(), field) for c in cells])
-        return LaurentMat(rows)
+        rows = None
+    if rows is not None:
+        return _laurent_rows(rows, field)
     if ";" in text:
         entries = [parse_laurent(t.strip(), field)
                    for t in text.split(";")]
@@ -169,22 +183,18 @@ def _cmd_exponent(args):
 
 
 def _cmd_dirichlet(args):
-    with open(args.instance, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    header = dict(item.split("=", 1) for item in lines[0].split()
-                  if "=" in item)
-    q = int(header["q"])
-    m = int(header["m"])
-    n = int(header["n"])
-    t = tuple(int(x) for x in header["t"].split(","))
-    field = FieldSpec.get(q)
-    rows = []
-    for ln in lines[1:m + 1]:
-        rows.append([parse_laurent(c.strip(), field)
-                     for c in ln.split("|")])
-        if len(rows[-1]) != n:
-            raise ValueError("wrong entry count in instance row")
-    inst = DirichletInstance(LaurentMat(rows), t)
+    header, ints, rows = _read_table(args.instance, "instance file",
+                                     ("m", "n", "q"))
+    try:
+        t = tuple(int(x) for x in header["t"].split(","))
+    except (KeyError, ValueError):
+        raise ValueError("instance file header needs t=<int>,<int>,...") \
+            from None
+    if len(t) != ints["m"] + ints["n"]:
+        raise ValueError(f"instance file header gives {len(t)} weights "
+                         f"in t, needs m+n = {ints['m'] + ints['n']}")
+    field = FieldSpec.get(ints["q"])
+    inst = DirichletInstance(_laurent_rows(rows, field), t)
     sol = dirichlet_solve(inst)
     payload = {
         "p": [format_poly(x) for x in sol.p],
@@ -213,12 +223,13 @@ def _cmd_goodcheck(args):
         combo = (Laurent.zero(field), Laurent.from_poly(Poly.one(field)))
         combo += (Laurent.zero(field),) * (f.n - 1)
     claimed = QPow(field.q, _fr(args.claimed_C)) if args.claimed_C else None
-    rep = good_constants(f, combo, ball, args.resolution, _fr(args.alpha),
-                         claimed_C=claimed)
+    # the report and the closure check share one evaluation of the map
+    grid = CellGrid(f, ball, args.resolution)
+    rep = grid.good_report(combo, _fr(args.alpha), claimed_C=claimed)
     payload = {"good": rep.as_json_dict()}
     if args.closure:
-        payload["closure"] = lemma_closure_check(
-            f, ball, args.resolution, _fr(args.alpha)).as_json_dict()
+        payload["closure"] = grid.closure_report(
+            _fr(args.alpha)).as_json_dict()
     if args.nonplanarity_trials:
         if args.seed is None:
             print("a seed is required for randomized runs",

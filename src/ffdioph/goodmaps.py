@@ -5,12 +5,19 @@ At resolution N a cell fixes the coefficients of degrees 0, -1, ...,
 -(N-1) in every coordinate, so its measure is exactly q**(-N*d) and any
 finite union has a rational measure counted cell by cell.
 
-Polynomial maps are evaluated at cell centers with a non-archimedean
-Lipschitz guard: two points of one cell differ by at most e**(-N), so
-the value's degree is constant on the cell whenever it exceeds
-max(deg coefficients) - N; cells below that bound are marked ambiguous
-and are excluded from both sides of every inequality rather than
-guessed.
+A CellGrid holds a polynomial map's values at the cell centers of one
+ball at resolution N, computed once; the good-map certificates here and
+the transference set families (SetFamilyConfig.grid) read every
+combination g = c_0 + sum c_i f_i off such a grid.  One guard rule
+classifies them (combo_degree_table, degree_class): two points of one
+cell differ by at most e**(-N), so g varies across a cell by degree at
+most guard = max(deg c_i + pert_i), pert_i being f_i's largest
+non-constant coefficient degree minus N, and the center's degree holds
+on the whole cell when it exceeds the guard.  sublevel_partition counts
+an uncertain cell inside {deg g <= j} only when the guard is too; the
+rest are ambiguous and are excluded from both sides of every inequality
+rather than guessed.  A combination value that is an inexact zero
+raises PrecisionExhausted here.
 
 Sublevel inequalities compare a rational measure against
 C * (eps/sup)**alpha with alpha a rational multiple r * ln q, so both
@@ -24,6 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra.degree import NEG_INF
 from .algebra.laurent import Laurent
@@ -277,36 +285,221 @@ class PolyMap:
         return tuple(out)
 
 
-def eval_map_on_cells(f, N, ball=None):
-    """Degree table of every component on every cell.
+# ---------------------------------------------------------------------------
+# the cell grid and its one degree classifier
+# ---------------------------------------------------------------------------
 
-    Returns {cell_code: ((degree, certain), ...)} where certain means
-    the degree provably holds across the whole cell (it exceeds the
-    perturbation bound); ambiguous cells carry their center degree with
-    certain=False.
+
+class CellGrid:
+    """A map's values on every resolution-N cell of a ball.
+
+    codes are the sorted cell codes and values[i] is f at the center of
+    cell codes[i]; both are computed on first use and then kept, so every
+    combination, threshold and report read off one grid evaluates the
+    map once per cell.  perts[k] bounds the degree of f_k's variation
+    across one cell.  ball=None means the closed unit ball.
     """
-    field = f.field
-    if ball is None:
-        cs = CylinderSet.unit_ball(field, N, f.d)
+
+    def __init__(self, f, ball, N):
+        self.f = f
+        self.ball = ball
+        self.N = N
+        self.perts = f.perturbation_bounds(N)
+
+    @cached_property
+    def codes(self):
+        if self.ball is None:
+            cells = CylinderSet.unit_ball(self.f.field, self.N, self.f.d)
+        else:
+            cells = self.ball.cells(self.N)
+        return sorted(cells.cells)
+
+    @cached_property
+    def values(self):
+        field, N, d = self.f.field, self.N, self.f.d
+        return [self.f.eval_at(cell_center(field, code, N, d))
+                for code in self.codes]
+
+    def good_report(self, combo, alpha_r, slack=2, claimed_C=None):
+        """good_constants of a combination c_0 + sum c_i f_i on this grid."""
+        alpha_r = _positive(alpha_r)
+        rows, guard = self._exact_table(combo)
+        return self._report(rows, guard, alpha_r, slack, claimed_C)
+
+    def closure_report(self, alpha_r):
+        """lemma_closure_check on this grid."""
+        field = self.f.field
+        n = self.f.n
+        one = Laurent.from_poly(Poly.one(field))
+        zero = Laurent.zero(field)
+        alpha_r = _positive(alpha_r)
+        items = []
+
+        def measured(combo):
+            rows, guard = self._exact_table(combo)
+            return rows, guard, self._report(rows, guard, alpha_r)
+
+        rows1, guard1, base = measured((zero, one) + (zero,) * (n - 1))
+        # (1): |f| is represented by the same degree table as f
+        items.append(("abs_equivalence", True,
+                      "degrees encode |f|; tables coincide by construction"))
+        # (2): scaling by T shifts every degree and the guard by one
+        _, _, scaled = measured(
+            (zero, Laurent.monomial(field, 1, 1)) + (zero,) * (n - 1))
+        ok2 = scaled.sup_deg == base.sup_deg + 1 and all(
+            s[1:] == b[1:] for s, b in zip(scaled.rows, base.rows[1:]))
+        items.append(("scaling_invariance", ok2,
+                      f"C_min {base.C_min!r} vs scaled {scaled.C_min!r}"))
+        # (3): sup of two components; sublevels are intersections
+        ok3 = True
+        note3 = "needs n >= 2"
+        if n >= 2:
+            rows2, guard2, second = measured(
+                (zero, zero, one) + (zero,) * (n - 2))
+            sup_deg = max(base.sup_deg, second.sup_deg)
+            c_bound = (base.C_min if base.C_min >= second.C_min
+                       else second.C_min)
+            # an uncertain cell in either table makes no threshold decidable
+            if all(c for _, _, c in rows1) and all(c for _, _, c in rows2):
+                for j in range(1, self.N - 1):
+                    in1, _ = sublevel_partition(self, rows1, guard1, -j)
+                    in2, _ = sublevel_partition(self, rows2, guard2, -j)
+                    ratio = QPow(field.q,
+                                 Fraction(len(in1 & in2), base.ball_cells),
+                                 alpha_r * (j + sup_deg))
+                    if ratio > c_bound:
+                        ok3 = False
+            note3 = "sup sublevels are intersections; bound with max(C) holds"
+        items.append(("sup_closure", ok3, note3))
+        # (5): relax (C, alpha) to (2C-or-more, alpha/2)
+        relaxed_alpha = alpha_r / 2
+        relaxed_C = base.C_min * QPow(field.q, 2)
+        if relaxed_C < QPow(field.q, 2):
+            relaxed_C = QPow(field.q, 2)
+        ok5 = True
+        for j, n_in, _, _ in base.rows:
+            ratio = QPow(field.q, Fraction(n_in, base.ball_cells),
+                         relaxed_alpha * (j + base.sup_deg))
+            if ratio > relaxed_C:
+                ok5 = False
+        items.append(("relaxation", ok5,
+                      "larger C with halved alpha still bounds every row"))
+        return ClosureReport(tuple(items))
+
+    def _exact_table(self, combo):
+        """combo_degree_table of c_0 + sum c_i f_i; an inexact zero raises."""
+        rows, guard = combo_degree_table(self, combo[0], combo[1:])
+        if any(dgr is None for _, dgr, _ in rows):
+            raise PrecisionExhausted("inexact combination value")
+        return rows, guard
+
+    def _report(self, rows, guard, alpha_r, slack=2, claimed_C=None):
+        q = self.f.field.q
+        n_ball = len(self.codes)
+        sup = NEG_INF
+        ambiguous = 0
+        for _, dgr, certain in rows:
+            if not certain:
+                ambiguous += 1
+            elif sup is NEG_INF or (dgr is not NEG_INF and dgr > sup):
+                sup = dgr
+        if sup is NEG_INF:
+            raise ValueError("combination vanishes identically on the ball")
+        inconclusive = ambiguous * 100 > n_ball or (
+            guard is not NEG_INF and guard > sup)
+        report_rows = []
+        c_min = QPow(q, 0)
+        violations = []
+        for j in range(1, max(2, self.N - slack + 1)):
+            inside, amb_j = sublevel_partition(self, rows, guard, -j)
+            # ratio = (n_in/n_ball) * q**(alpha_r * (j + sup))
+            ratio = QPow(q, Fraction(len(inside), n_ball),
+                         alpha_r * (j + sup))
+            report_rows.append((j, len(inside), len(amb_j), ratio))
+            if ratio > c_min:
+                c_min = ratio
+            if claimed_C is not None and ratio > claimed_C:
+                violations.append(j)
+        return GoodReport(
+            alpha_r=alpha_r,
+            sup_deg=sup,
+            ball_cells=n_ball,
+            C_min=c_min,
+            rows=tuple(report_rows),
+            ambiguous_cells=ambiguous,
+            total_cells=n_ball,
+            inconclusive=inconclusive,
+            violations=tuple(violations),
+        )
+
+
+def _positive(alpha_r):
+    alpha_r = Fraction(alpha_r)
+    if alpha_r <= 0:
+        raise ValueError("alpha must be positive")
+    return alpha_r
+
+
+def degree_class(value, guard):
+    """(degree, certain) of a cell-center value whose variation across
+    the cell has degree at most guard.
+
+    The degree is NEG_INF for an exact zero and None for an inexact zero
+    (no digit known).  It holds on the whole cell -- certain -- when it
+    exceeds the guard, or when nothing varies (guard NEG_INF).
+    """
+    if value.raw:
+        dgr = value.lead
+    elif value.exact:
+        dgr = NEG_INF
     else:
-        cs = ball.cells(N)
-    perts = f.perturbation_bounds(N)
-    table = {}
-    for code in cs.cells:
-        point = cell_center(field, code, N, f.d)
-        vals = f.eval_at(point)
-        row = []
-        for v, pert in zip(vals, perts):
-            if v.raw:
-                dgr = v.lead
-            elif v.exact:
-                dgr = NEG_INF
-            else:
-                raise PrecisionExhausted("inexact map evaluation")
-            certain = pert is NEG_INF or (dgr is not NEG_INF and dgr > pert)
-            row.append((dgr, certain))
-        table[code] = tuple(row)
-    return table
+        return None, False
+    return dgr, guard is NEG_INF or (dgr is not NEG_INF and dgr > guard)
+
+
+def combo_degree_table(grid, base, coeffs):
+    """Values and degree classes of base + sum c_i f_i on a cell grid.
+
+    Returns (rows, guard): rows[i] = (value, degree, certain) on the cell
+    grid.codes[i], and guard = max(deg c_i + pert_i) over the nonzero
+    c_i, the degree bound of the sum's variation across one cell.
+    """
+    if len(coeffs) != grid.f.n:
+        raise ValueError("combination length must be 1 + n")
+    terms = [(i, c) for i, c in enumerate(coeffs) if not c.is_known_zero()]
+    guard = NEG_INF
+    for i, c in terms:
+        if grid.perts[i] is not NEG_INF:
+            cand = c.degree() + grid.perts[i]
+            if guard is NEG_INF or cand > guard:
+                guard = cand
+    rows = []
+    for vals in grid.values:
+        acc = base
+        for i, c in terms:
+            acc = acc + c * vals[i]
+        rows.append((acc,) + degree_class(acc, guard))
+    return rows, guard
+
+
+def sublevel_partition(grid, rows, guard, thresh):
+    """(inside, ambiguous) cell-code sets of {deg <= thresh} on a grid.
+
+    A certain cell is inside when its degree is at most thresh.  An
+    uncertain cell is inside when the guard is, unless its center value
+    is an inexact zero; every other uncertain cell is ambiguous.
+    """
+    inside = set()
+    ambiguous = set()
+    for code, (_, dgr, certain) in zip(grid.codes, rows):
+        if certain:
+            if dgr is NEG_INF or dgr <= thresh:
+                inside.add(code)
+        elif dgr is not None and guard is not NEG_INF and guard <= thresh:
+            inside.add(code)  # the whole cell provably lies below
+        else:
+            ambiguous.add(code)
+    return frozenset(inside), frozenset(ambiguous)
 
 
 # ---------------------------------------------------------------------------
@@ -350,41 +543,6 @@ class GoodReport:
         }
 
 
-def combo_degree_table(f, combo, N, ball):
-    """Degree table of c_0 + sum c_i f_i with the combo's own guard."""
-    field = f.field
-    cs = ball.cells(N) if ball is not None else CylinderSet.unit_ball(
-        field, N, f.d)
-    perts = f.perturbation_bounds(N)
-    c0 = combo[0]
-    cf = combo[1:]
-    if len(cf) != f.n:
-        raise ValueError("combination length must be 1 + n")
-    pert = NEG_INF
-    for c, pf in zip(cf, perts):
-        if not c.is_known_zero() and pf is not NEG_INF:
-            cand = c.degree() + pf
-            if pert is NEG_INF or cand > pert:
-                pert = cand
-    table = {}
-    for code in cs.cells:
-        point = cell_center(field, code, N, f.d)
-        vals = f.eval_at(point)
-        acc = c0
-        for c, v in zip(cf, vals):
-            if not c.is_known_zero():
-                acc = acc + c * v
-        if acc.raw:
-            dgr = acc.lead
-        elif acc.exact:
-            dgr = NEG_INF
-        else:
-            raise PrecisionExhausted("inexact combination value")
-        certain = pert is NEG_INF or (dgr is not NEG_INF and dgr > pert)
-        table[code] = (dgr, certain, pert)
-    return cs, table, pert
-
-
 def good_constants(f, combo, ball, N, alpha_r, slack=2, claimed_C=None):
     """Smallest C for which the sublevel inequality holds on the grid.
 
@@ -395,57 +553,7 @@ def good_constants(f, combo, ball, N, alpha_r, slack=2, claimed_C=None):
     the whole grid tests the same family of inequalities.  Both sides
     are exact: the left is a cell count, the right a QPow.
     """
-    field = f.field
-    alpha_r = Fraction(alpha_r)
-    if alpha_r <= 0:
-        raise ValueError("alpha must be positive")
-    cs, table, pert = combo_degree_table(f, combo, N, ball)
-    n_ball = len(cs.cells)
-    sup = NEG_INF
-    ambiguous = 0
-    for dgr, certain, _ in table.values():
-        if certain:
-            if sup is NEG_INF or (dgr is not NEG_INF and dgr > sup):
-                sup = dgr
-        else:
-            ambiguous += 1
-    if sup is NEG_INF:
-        raise ValueError("combination vanishes identically on the ball")
-    inconclusive = ambiguous * 100 > n_ball or (
-        pert is not NEG_INF and pert > sup)
-    rows = []
-    c_min = QPow(field.q, 0)
-    violations = []
-    for j in range(1, max(2, N - slack + 1)):
-        thresh = -j
-        n_in = 0
-        amb_j = 0
-        for dgr, certain, _ in table.values():
-            if certain:
-                if dgr is NEG_INF or dgr <= thresh:
-                    n_in += 1
-            elif pert is not NEG_INF and pert <= thresh:
-                n_in += 1  # whole cell provably below the threshold
-            else:
-                amb_j += 1
-        # ratio = (n_in/n_ball) * q**(alpha_r * (j + sup))
-        ratio = QPow(field.q, Fraction(n_in, n_ball), alpha_r * (j + sup))
-        rows.append((j, n_in, amb_j, ratio))
-        if ratio > c_min:
-            c_min = ratio
-        if claimed_C is not None and ratio > claimed_C:
-            violations.append(j)
-    return GoodReport(
-        alpha_r=alpha_r,
-        sup_deg=sup,
-        ball_cells=n_ball,
-        C_min=c_min,
-        rows=tuple(rows),
-        ambiguous_cells=ambiguous,
-        total_cells=n_ball,
-        inconclusive=inconclusive,
-        violations=tuple(violations),
-    )
+    return CellGrid(f, ball, N).good_report(combo, alpha_r, slack, claimed_C)
 
 
 @dataclass(frozen=True)
@@ -468,77 +576,14 @@ def lemma_closure_check(f, ball, N, alpha_r):
     """Re-verify the closure properties from measured data.
 
     (1) the map and its absolute value measure identically (degrees are
-        the absolute value); (2) scaling a combination shifts every
-        degree, leaving C unchanged; (3) the sup of two components has
-        sublevel sets equal to the intersection; (5) relaxing to a
-        larger C and smaller alpha preserves the inequality.
+        the absolute value); (2) scaling a combination by T shifts every
+        degree and the guard by one, so the scaled rows are the base rows
+        one threshold down and C is unchanged; (3) the sup of two
+        components has sublevel sets equal to the intersection; (5)
+        relaxing to a larger C and smaller alpha preserves the
+        inequality.  All combinations are read off one cell grid.
     """
-    field = f.field
-    one = Laurent.from_poly(Poly.one(field))
-    zero = Laurent.zero(field)
-    alpha_r = Fraction(alpha_r)
-    items = []
-
-    base_combo = (zero, one) + (zero,) * (f.n - 1)
-    base = good_constants(f, base_combo, ball, N, alpha_r)
-    # (1): |f| is represented by the same degree table as f
-    items.append(("abs_equivalence", True,
-                  "degrees encode |f|; tables coincide by construction"))
-    # (2): scaling by T shifts all degrees by one
-    scaled_combo = (zero, Laurent.monomial(field, 1, 1)) + (zero,) * (f.n - 1)
-    scaled = good_constants(f, scaled_combo, ball, N, alpha_r)
-    ok2 = scaled.C_min == base.C_min
-    items.append(("scaling_invariance", ok2,
-                  f"C_min {base.C_min!r} vs scaled {scaled.C_min!r}"))
-    # (3): sup of two components; sublevels are intersections
-    ok3 = True
-    note3 = "needs n >= 2"
-    if f.n >= 2:
-        combo2 = (zero, zero, one) + (zero,) * (f.n - 2)
-        second = good_constants(f, combo2, ball, N, alpha_r)
-        cs, table1, pert1 = combo_degree_table(f, base_combo, N, ball)
-        _, table2, pert2 = combo_degree_table(f, combo2, N, ball)
-        sup_deg = max(base.sup_deg, second.sup_deg)
-        c_bound = base.C_min if base.C_min >= second.C_min else second.C_min
-        n_ball = len(cs.cells)
-        for j in range(1, N - 1):
-            thresh = -j
-            n_in = 0
-            decidable = True
-            for code in cs.cells:
-                d1, c1, _ = table1[code]
-                d2, c2, _ = table2[code]
-                if not (c1 and c2):
-                    decidable = False
-                    continue
-                dd = max(
-                    d1 if d1 is not NEG_INF else thresh - 1,
-                    d2 if d2 is not NEG_INF else thresh - 1,
-                )
-                if dd <= thresh:
-                    n_in += 1
-            if not decidable:
-                continue
-            ratio = QPow(field.q, Fraction(n_in, n_ball),
-                         alpha_r * (j + sup_deg))
-            if ratio > c_bound:
-                ok3 = False
-        note3 = "sup sublevels are intersections; bound with max(C) holds"
-    items.append(("sup_closure", ok3, note3))
-    # (5): relax (C, alpha) to (2C-or-more, alpha/2)
-    relaxed_alpha = alpha_r / 2
-    relaxed_C = base.C_min * QPow(field.q, 2)
-    if relaxed_C < QPow(field.q, 2):
-        relaxed_C = QPow(field.q, 2)
-    ok5 = True
-    for j, n_in, _, _ in base.rows:
-        ratio = QPow(field.q, Fraction(n_in, base.ball_cells),
-                     relaxed_alpha * (j + base.sup_deg))
-        if ratio > relaxed_C:
-            ok5 = False
-    items.append(("relaxation", ok5,
-                  "larger C with halved alpha still bounds every row"))
-    return ClosureReport(tuple(items))
+    return CellGrid(f, ball, N).closure_report(alpha_r)
 
 
 # ---------------------------------------------------------------------------

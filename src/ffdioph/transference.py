@@ -18,7 +18,10 @@ with exact measures, the two hypotheses that argument needs:
   rate q**d * C * e**(-(omega-1)/2 * n * t * alpha0), summable in t.
 
 Thresholds realize |.| < e**(-x) as deg <= -floor(x)-1, exact in the
-discrete value group.  Ambiguous cells (below the Lipschitz guard) are
+discrete value group.  Cell values come from the config's
+goodmaps.CellGrid, and membership from goodmaps' one guard rule and
+sublevel partition.  Ambiguous cells (below the Lipschitz guard, or
+whose value is an inexact zero, as an inexact theta can leave) are
 excluded from both sides of every inclusion and counted, never guessed.
 
 The module also hosts the exponent-inequality checks (the two
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .algebra.degree import NEG_INF
@@ -41,7 +45,15 @@ from .algebra.laurent import Laurent, LaurentMat, LaurentVec
 from .algebra.poly import Poly
 from .diophantine import best_profile, omega_estimate
 from .errors import BudgetExceeded
-from .goodmaps import BallSpec, CylinderSet, cell_center
+from .goodmaps import (
+    BallSpec,
+    CellGrid,
+    CylinderSet,
+    cell_center,
+    combo_degree_table,
+    degree_class,
+    sublevel_partition,
+)
 from .qpow import QPow
 
 ENUM_BUDGET = 10**6
@@ -116,96 +128,37 @@ class SetFamilyConfig:
         w = self.omega if omega is None else Fraction(omega)
         return strict_degree_threshold(self.n * w * self.t)
 
-
-class _CellData:
-    """Centers and map values for every cell of V, computed once."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-        self.cells = cfg.V.cells(cfg.N)
-        self.codes = sorted(self.cells.cells)
-        field = cfg.field
-        self.values = {}
-        for code in self.codes:
-            pt = cell_center(field, code, cfg.N, cfg.f.d)
-            self.values[code] = cfg.f.eval_at(pt)
-        perts = cfg.f.perturbation_bounds(cfg.N)
-        self.pert_coeff = perts  # per component
+    @cached_property
+    def grid(self):
+        """The map's values on every cell of V, computed on first use."""
+        return CellGrid(self.f, self.V, self.N)
 
 
-def _f_alpha_pert(cfg, data, q):
-    """Degree bound for the cell variation of x -> f(x).q + p + theta."""
-    best = NEG_INF
-    for qi, pf in zip(q, data.pert_coeff):
-        if not qi.is_zero() and pf is not NEG_INF:
-            cand = qi.deg + pf
-            if best is NEG_INF or cand > best:
-                best = cand
-    return best
+def _member_sets(cfg, p, q, thresh, inhomogeneous):
+    """(certainly-in, ambiguous) cell sets of an I- or H-set.
 
-
-def _member_sets(cfg, data, p, q, thresh, inhomogeneous):
-    """(certainly-in, ambiguous) cell sets of an I- or H-set."""
-    field = cfg.field
-    pert = _f_alpha_pert(cfg, data, q)
+    A cell whose value is an inexact zero is ambiguous.
+    """
     base = Laurent.from_poly(p)
     if inhomogeneous and cfg.theta is not None:
         base = base + cfg.theta
-    inside = set()
-    fuzzy = set()
-    for code in data.codes:
-        vals = data.values[code]
-        acc = base
-        for qi, v in zip(q, vals):
-            if not qi.is_zero():
-                acc = acc + v * qi
-        if acc.raw:
-            d = acc.lead
-        elif acc.exact:
-            d = NEG_INF
-        else:
-            fuzzy.add(code)
-            continue
-        certain = pert is NEG_INF or (d is not NEG_INF and d > pert)
-        if certain:
-            if d is NEG_INF or d <= thresh:
-                inside.add(code)
-        elif pert is not NEG_INF and pert <= thresh:
-            inside.add(code)  # the whole cell provably lies below
-        else:
-            fuzzy.add(code)
-    return frozenset(inside), frozenset(fuzzy)
+    rows, guard = combo_degree_table(
+        cfg.grid, base, [Laurent.from_poly(c) for c in q])
+    return sublevel_partition(cfg.grid, rows, guard, thresh)
 
 
 def build_I_set(cfg, alpha, omega=None):
     """I_t(alpha, psi_omega(t)) as cells of V, plus its ambiguous cells."""
-    thresh = cfg.threshold(omega)
-    inside, fuzzy = _member_sets(cfg, _cell_data(cfg), alpha.p, alpha.q,
-                                 thresh, True)
-    cs = CylinderSet(cfg.field, cfg.N, cfg.f.d, inside)
-    return cs, fuzzy
+    inside, fuzzy = _member_sets(cfg, alpha.p, alpha.q,
+                                 cfg.threshold(omega), True)
+    return CylinderSet(cfg.field, cfg.N, cfg.f.d, inside), fuzzy
 
 
 def build_H_set(cfg, alpha, omega=None):
     """H_t(alpha, psi_omega(t)): the homogeneous twin (theta absent)."""
-    thresh = cfg.threshold(omega)
-    inside, fuzzy = _member_sets(cfg, _cell_data(cfg), alpha.p, alpha.q,
-                                 thresh, False)
-    cs = CylinderSet(cfg.field, cfg.N, cfg.f.d, inside)
-    return cs, fuzzy
-
-
-_DATA_CACHE = {}
-
-
-def _cell_data(cfg):
-    key = id(cfg)
-    data = _DATA_CACHE.get(key)
-    if data is None or data.cfg is not cfg:
-        data = _CellData(cfg)
-        _DATA_CACHE.clear()
-        _DATA_CACHE[key] = data
-    return data
+    inside, fuzzy = _member_sets(cfg, alpha.p, alpha.q,
+                                 cfg.threshold(omega), False)
+    return CylinderSet(cfg.field, cfg.N, cfg.f.d, inside), fuzzy
 
 
 def _iter_q_vectors(cfg):
@@ -234,39 +187,22 @@ def enum_alphas(cfg):
     part of f(x).q + theta there (anything else leaves |F| >= 1), so
     scanning cells yields the complete candidate list; candidates whose
     fractional part certainly misses the threshold everywhere are
-    dropped.
+    dropped, and those whose fractional part is an inexact zero kept.
     """
     field = cfg.field
     if field.q ** ((cfg.n + 1) * (cfg.t + 1)) > ENUM_BUDGET:
         raise BudgetExceeded("alpha enumeration exceeds the budget")
-    data = _cell_data(cfg)
     thresh = cfg.threshold()
     out = []
     seen = set()
     theta = cfg.theta if cfg.theta is not None else Laurent.zero(field)
     for q in _iter_q_vectors(cfg):
-        pert = _f_alpha_pert(cfg, data, q)
-        for code in data.codes:
-            vals = data.values[code]
-            acc = theta
-            for qi, v in zip(q, vals):
-                if not qi.is_zero():
-                    acc = acc + v * qi
+        rows, guard = combo_degree_table(
+            cfg.grid, theta, [Laurent.from_poly(c) for c in q])
+        for acc, _, _ in rows:
             p = -acc.poly_part()
-            frac = acc + Laurent.from_poly(p)
-            if frac.raw:
-                d = frac.lead
-            elif frac.exact:
-                d = NEG_INF
-            else:
-                d = None
-            possible = (
-                d is None
-                or d is NEG_INF
-                or d <= thresh
-                or not (pert is NEG_INF or d > pert)
-            )
-            if not possible:
+            d, certain = degree_class(acc + Laurent.from_poly(p), guard)
+            if certain and d is not NEG_INF and d > thresh:
                 continue
             key = (p.raw, tuple(c.raw for c in q))
             if key not in seen:
@@ -318,12 +254,11 @@ def verify_intersection(cfg):
     would force p = p'), asserted as the degenerate branch.
     """
     alphas = enum_alphas(cfg)
-    data = _cell_data(cfg)
     thresh = cfg.threshold()
     isets = []
     ambiguous = 0
     for a in alphas:
-        inside, fuzzy = _member_sets(cfg, data, a.p, a.q, thresh, True)
+        inside, fuzzy = _member_sets(cfg, a.p, a.q, thresh, True)
         isets.append((a, inside, fuzzy))
         ambiguous += len(fuzzy)
     violations = []
@@ -348,8 +283,8 @@ def verify_intersection(cfg):
                 continue
             key = ((a.p - b.p).raw, tuple(c.raw for c in qdiff))
             if key not in hcache:
-                hcache[key] = _member_sets(cfg, data, a.p - b.p, qdiff,
-                                           thresh, False)
+                hcache[key] = _member_sets(cfg, a.p - b.p, qdiff, thresh,
+                                           False)
             hin, hfz = hcache[key]
             bad = common - hin - hfz - fza - fzb
             if bad:
@@ -368,33 +303,15 @@ def verify_intersection(cfg):
     )
 
 
-def _ball_of_cell(cfg, data, code, radius_exp):
-    """Cells of the ball around a cell center with the given radius."""
-    q = cfg.field.q
-    N = cfg.N
-    d = cfg.f.d
-    fixed_positions = [i for i in range(N) if -i > radius_exp]
-    mod = q ** len(fixed_positions) if fixed_positions else 1
-    # positions 0..len(fixed)-1 are exactly the low digits of each word
-    members = set()
-    words = []
-    c = code
-    for _ in range(d):
-        words.append(c % q**N)
-        c //= q**N
-    prefixes = [w % mod for w in words]
-    for cand in data.codes:
-        cc = cand
-        ok = True
-        for coord in range(d):
-            w = cc % q**N
-            cc //= q**N
-            if w % mod != prefixes[coord]:
-                ok = False
-                break
-        if ok:
-            members.add(cand)
-    return frozenset(members)
+def _cell_ball(cfg, code, radius_exp):
+    """Cells of V within e**radius_exp of a cell's center.
+
+    The radius is clipped to V's: around a point of V the larger balls
+    meet V in V itself, which also keeps the enumeration within V's size.
+    """
+    center = cell_center(cfg.field, code, cfg.N, cfg.f.d)
+    ball = BallSpec(center, min(radius_exp, cfg.V.radius_exp))
+    return ball.cells(cfg.N).cells
 
 
 def verify_contraction(cfg):
@@ -414,12 +331,10 @@ def verify_contraction(cfg):
     if cfg.good_C is None or cfg.alpha0_r is None:
         raise ValueError("contraction needs the measured (C, alpha_0)")
     field = cfg.field
-    data = _cell_data(cfg)
     alphas = enum_alphas(cfg)
     omega_plus = (cfg.omega + 1) / 2
     thr_low = cfg.threshold()
     thr_high = cfg.threshold(omega_plus)
-    vcells = data.cells.cells
     total_cells = Fraction(1, field.q ** (cfg.N * cfg.f.d))
     kt = (QPow(field.q, 1, cfg.f.d) * cfg.good_C
           * QPow(field.q, 1, -cfg.alpha0_r * cfg.n * cfg.t
@@ -429,43 +344,38 @@ def verify_contraction(cfg):
     ambiguous = 0
     subset_failures = []
     for idx, a in enumerate(alphas):
-        in_low, fz_low = _member_sets(cfg, data, a.p, a.q, thr_low, True)
-        in_high, fz_high = _member_sets(cfg, data, a.p, a.q, thr_high, True)
+        in_low, fz_low = _member_sets(cfg, a.p, a.q, thr_low, True)
+        in_high, fz_high = _member_sets(cfg, a.p, a.q, thr_high, True)
         ambiguous += len(fz_low) + len(fz_high)
-        possible_high = in_high | fz_high
-        if possible_high >= vcells:
+        if len(in_high | fz_high) == len(cfg.grid.codes):
             subset_failures.append(idx)
             continue
         if not in_low:
             rows.append({"alpha": idx, "balls": 0, "empty": True})
             continue
+        # maximal balls, keyed by their cells; a cell inside an earlier
+        # ball grows to that same ball, so it is skipped
         balls = {}
+        covered = set()
         for code in sorted(in_low):
+            if code in covered:
+                continue
             r = -cfg.N
             members = frozenset([code])
-            while True:
-                grown = _ball_of_cell(cfg, data, code, r + 1)
-                if grown <= in_high and r + 1 <= cfg.V.radius_exp:
-                    members = grown
-                    r += 1
-                else:
+            while r + 1 <= cfg.V.radius_exp:
+                grown = _cell_ball(cfg, code, r + 1)
+                if not grown <= in_high:
                     break
-            words = []
-            c = code
-            mod = field.q ** len([i for i in range(cfg.N) if -i > r])
-            for _ in range(cfg.f.d):
-                words.append((c % field.q**cfg.N) % mod)
-                c //= field.q**cfg.N
-            balls[(tuple(words), r)] = (members, code)
-        covered = set()
-        for members, _ in balls.values():
+                members = grown
+                r += 1
+            balls[members] = (r, code)
             covered |= members
         if not (in_low <= covered):
             violations.append({"alpha": idx, "kind": "coverage"})
-        for (key, r), (members, code) in balls.items():
+        for members, (r, code) in balls.items():
             if not members <= in_high:
                 violations.append({"alpha": idx, "kind": "containment"})
-            five = _ball_of_cell(cfg, data, code, r + 1) & vcells
+            five = _cell_ball(cfg, code, r + 1)
             lhs_cells = five & (in_low | fz_low)
             mu_5b = Fraction(len(five)) * total_cells
             mu_lhs = Fraction(len(lhs_cells)) * total_cells

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,11 @@ from contextlib import redirect_stdout
 import pytest
 
 from ffdioph.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                      "cli_golden.json")
+with open(GOLDEN, encoding="utf-8") as _fh:
+    GOLDEN_CASES = json.load(_fh)["cases"]
 
 
 def run_cli(argv):
@@ -118,6 +124,32 @@ class TestDirichlet:
         assert doc["p"] == ["0"]
 
 
+    @pytest.mark.parametrize("text, problem", [
+        ("", "empty"),
+        ("  \n\n", "empty"),
+        ("m=1 n=1 t=2,2\nT^-1 + O(T^-30)\n", "q=<int>"),
+        ("q=x m=1 n=1 t=2,2\nT^-1 + O(T^-30)\n", "q=<int>"),
+        ("q=2 n=1 t=2,2\nT^-1 + O(T^-30)\n", "m=<int>"),
+        ("q=2 m=1 t=2,2\nT^-1 + O(T^-30)\n", "n=<int>"),
+        ("q=2 m=1 n=1\nT^-1 + O(T^-30)\n", "t=<int>"),
+        ("q=2 m=1 n=1 t=2,x\nT^-1 + O(T^-30)\n", "t=<int>"),
+        ("q=2 m=0 n=1 t=1\n", "m >= 1"),
+        # header promises two forms, file holds one
+        ("q=2 m=2 n=1 t=1,1,2\nT^-1 + O(T^-30)\n", "m=2"),
+        ("q=2 m=1 n=1 t=2,2\nT^-1 + O(T^-30)\nT^-2 + O(T^-30)\n", "m=1"),
+        ("q=2 m=1 n=2 t=2,1,1\nT^-1 + O(T^-30)\n", "n=2"),
+        ("q=2 m=1 n=1 t=2,2,2\nT^-1 + O(T^-30)\n", "m+n"),
+    ])
+    def test_malformed_instance(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        code, out = run_cli(["dirichlet", "--instance", str(path)])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance file") and err.count("\n") == 1
+        assert problem in err
+
+
 class TestGoodcheck:
     def test_identity(self):
         code, out = run_cli([
@@ -151,6 +183,38 @@ class TestGoodcheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["good"]["C_min"] == {"coeff": "1/1", "q_exp": "0/1"}
+
+
+    @pytest.mark.parametrize("alpha", ["1/2", "2"])
+    def test_closure_passes_off_alpha_one(self, alpha):
+        # scaling by T moves the threshold window by one step, which the
+        # scaling item accounts for at every alpha
+        code, out = run_cli([
+            "goodcheck", "--map", "veronese:2", "--alpha", alpha,
+            "-N", "6", "--closure",
+        ])
+        assert code == 0
+        assert json.loads(out)["closure"]["passed"]
+
+    def test_closure_evaluates_map_once_per_cell(self, monkeypatch):
+        from ffdioph.goodmaps import PolyMap
+
+        calls = []
+        original = PolyMap.eval_at
+
+        def counting(self, point):
+            calls.append(point)
+            return original(self, point)
+
+        monkeypatch.setattr(PolyMap, "eval_at", counting)
+        code, out = run_cli([
+            "goodcheck", "--map", "veronese:2", "--alpha", "1",
+            "-N", "6", "--closure",
+        ])
+        assert code == 0
+        cells = json.loads(out)["good"]["total_cells"]
+        assert cells == 64
+        assert len(calls) == cells and len(set(calls)) == cells
 
 
 class TestTransfer:
@@ -237,6 +301,28 @@ class TestExtremal:
         code, out = run_cli(["extremal", "--config", str(path)])
         assert code == 0
         assert out.splitlines()[0] == "sample,tau,L,ratio,exact,included"
+
+
+class TestGolden:
+    """Stdout digests and exit codes recorded before the cell-grid refactor.
+
+    Each case names its input files; "{name}" in argv stands for the path
+    of the file written from case["files"][name].
+    """
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES,
+                             ids=[c["name"] for c in GOLDEN_CASES])
+    def test_digest(self, tmp_path, case):
+        paths = {}
+        for name, text in case["files"].items():
+            path = tmp_path / name
+            path.write_text(text)
+            paths["{" + name + "}"] = str(path)
+        argv = [paths.get(a, a) for a in case["argv"]]
+        code, out = run_cli(argv)
+        assert code == case["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            case["stdout_sha256"]
 
 
 class TestUsage:

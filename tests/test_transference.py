@@ -135,20 +135,60 @@ class TestIntersection:
 
     def test_degenerate_branch(self, F2):
         # same q, different p: the intersection is provably empty
-        from ffdioph.transference import _cell_data, _member_sets
-
         cfg = small_cfg(F2, n=1, t=1, N=8)
-        data = _cell_data(cfg)
-        thresh = cfg.threshold()
         q = (parse_poly("T", F2),)
-        in1, _ = _member_sets(cfg, data, Poly.zero(F2), q, thresh, True)
-        in2, _ = _member_sets(cfg, data, Poly.one(F2), q, thresh, True)
-        assert not (in1 & in2)
+        in1, _ = build_I_set(cfg, AlphaIndex(Poly.zero(F2), q))
+        in2, _ = build_I_set(cfg, AlphaIndex(Poly.one(F2), q))
+        assert in1.cells and in2.cells
+        assert not in1.intersect(in2).cells
+
+    def test_interleaved_configs(self, F2):
+        # each config reads its own cell grid, whatever ran in between
+        def reports(cfg):
+            return (verify_intersection(cfg).as_json_dict(),
+                    verify_contraction(cfg).as_json_dict())
+
+        def make(**kw):
+            return small_cfg(F2, C=QPow(2, 1), alpha0=Fraction(1), **kw)
+
+        args = (dict(n=1, t=2, N=8, theta="T^-1"),
+                dict(n=2, t=1, N=6, theta="T^-2 + T^-3"))
+        a, b = make(**args[0]), make(**args[1])
+        first = [reports(a), reports(b), reports(a), reports(b)]
+        assert first[0] == first[2] and first[1] == first[3]
+        assert first[0] != first[1]
+        assert first[:2] == [reports(make(**kw)) for kw in args]
 
     def test_theta_zero_matches_homogeneous(self, F2):
         cfg = small_cfg(F2, n=1, t=1, N=8, theta="0")
         rep = verify_intersection(cfg)
         assert rep.passed
+
+
+class TestCellBall:
+    @pytest.mark.parametrize("q, d, N, center, radius", [
+        (2, 1, 6, "0", -1),
+        (2, 1, 6, "T^-1 + T^-2", -3),
+        (3, 2, 3, "2*T^-1", -1),
+    ])
+    def test_matches_brute_force(self, q, d, N, center, radius):
+        # clipped enumeration against a membership scan of V's cells
+        from ffdioph import FieldSpec
+        from ffdioph.goodmaps import BallSpec, cell_center
+        from ffdioph.transference import _cell_ball
+
+        F = FieldSpec.get(q)
+        V = BallSpec((parse_laurent(center, F),) * d, radius)
+        f = PolyMap(d, tuple((((1,) + (0,) * (d - 1), Poly.one(F)),)
+                             for _ in range(d)))
+        cfg = SetFamilyConfig(f, V, Laurent.zero(F), Fraction(2), 1, N)
+        vcodes = sorted(V.cells(N).cells)
+        centers = {c: cell_center(F, c, N, d) for c in vcodes}
+        for code in vcodes[::5]:
+            for r in range(-N, 1):
+                ball = BallSpec(centers[code], r)
+                brute = {c for c in vcodes if ball.contains_point(centers[c])}
+                assert _cell_ball(cfg, code, r) == brute
 
 
 class TestContraction:
