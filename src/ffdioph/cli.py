@@ -3,7 +3,8 @@
 Subcommands mirror the library surface: cfrac, exponent, dirichlet,
 goodcheck, transfer {bz,dyson,intersection,contraction}, extremal.
 Everything emits JSON (or CSV with --format csv) on stdout; exit code 0
-on success, 1 when a check reports violations, 2 on usage errors.
+on success, 1 when a check reports violations, 2 on usage errors
+(malformed literals and zero denominators included).
 Randomized commands require a seed, and identical (arguments, seed)
 runs produce byte-identical output.
 """
@@ -29,7 +30,11 @@ from .diophantine import (
     dirichlet_solve,
     omega_estimate,
 )
-from .errors import FFDiophError
+from .errors import (
+    CoefficientOutOfRange,
+    FFDiophError,
+    LiteralSyntaxError,
+)
 from .experiments import (
     ExperimentConfig,
     load_map,
@@ -60,8 +65,10 @@ def _field(args):
 
 def _fr(text):
     if "/" in text:
-        a, b = text.split("/", 1)
-        return Fraction(int(a), int(b))
+        a, b = (int(x) for x in text.split("/", 1))
+        if b == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(a, b)
     return Fraction(int(text))
 
 
@@ -420,6 +427,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except (LiteralSyntaxError, CoefficientOutOfRange) as exc:
+        # malformed input text, not a failed check
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except FFDiophError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,10 +8,15 @@ finite union has a rational measure counted cell by cell.
 A CellGrid holds a polynomial map's values at the cell centers of one
 ball at resolution N, computed once; the good-map certificates here and
 the transference set families (SetFamilyConfig.grid) read every
-combination g = c_0 + sum c_i f_i off such a grid.  One guard rule
-classifies them (combo_degree_table, degree_class): two points of one
-cell differ by at most e**(-N), so g varies across a cell by degree at
-most guard = max(deg c_i + pert_i), pert_i being f_i's largest
+combination g = c_0 + sum c_i f_i off such a grid.  The grid works on
+raw digits (the ops_for(field) polynomials that Laurent and Poly
+share): a cell center is one raw per coordinate over T**(1-N),
+PolyMap.eval_raw gives each f_k as an exact raw over a fixed floor, and
+combo_degree_table forms g per cell with raw mul/add, carrying each row
+as (raw, floor, exact) with the known floor Laurent arithmetic would
+give.  One guard rule classifies the rows (degree_class): two points of
+one cell differ by at most e**(-N), so g varies across a cell by degree
+at most guard = max(deg c_i + pert_i), pert_i being f_i's largest
 non-constant coefficient degree minus N, and the center's degree holds
 on the whole cell when it exceeds the guard.  sublevel_partition counts
 an uncertain cell inside {deg g <= j} only when the guard is too; the
@@ -27,7 +32,6 @@ never floating point.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +39,7 @@ from functools import cached_property
 
 from .algebra.degree import NEG_INF
 from .algebra.laurent import Laurent
-from .algebra.poly import Poly
+from .algebra.poly import Poly, ops_for
 from .errors import BudgetExceeded, PrecisionExhausted
 from .qpow import QPow, floor_ln
 
@@ -51,20 +55,30 @@ def cell_count(field, N, d):
     return field.q ** (N * d)
 
 
-def cell_center(field, code, N, d):
-    """Center point of a cell: the exact value with the fixed digits."""
+def cell_digits(field, code, N, d):
+    """A cell's center as raw digits over T**(1-N), one per coordinate.
+
+    Word k of the code (base q**N, coordinate 0 lowest) holds the digits
+    of degrees 0, -1, ..., -(N-1), lowest position first: the reverse
+    of the raw order.
+    """
     q = field.q
+    ops = ops_for(field)
     point = []
     for _ in range(d):
-        word = code % q**N
-        code //= q**N
-        digits = []
-        for _ in range(N):
-            digits.append(word % q)
-            word //= q
-        # digits[i] is the coefficient of T**(-i)
-        point.append(Laurent(field, digits, 0, exact=True))
+        code, word = divmod(code, q**N)
+        digits = [0] * N
+        for j in range(N - 1, -1, -1):
+            word, digits[j] = divmod(word, q)
+        point.append(ops.from_coeffs(digits))
     return tuple(point)
+
+
+def cell_center(field, code, N, d):
+    """Center point of a cell: the exact value with the fixed digits."""
+    ops = ops_for(field)
+    return tuple(Laurent._wrap(field, ops, raw, 1 - N, True)
+                 for raw in cell_digits(field, code, N, d))
 
 
 @dataclass(frozen=True)
@@ -169,30 +183,21 @@ class BallSpec:
         q = field.q
         if -self.radius_exp > N:
             raise ValueError("resolution too coarse for this radius")
-        # digit of degree -i sits at position i of a coordinate word;
-        # degrees above radius_exp are fixed by the center (whose
-        # degree-0 digit is implicitly zero)
-        free_positions = [i for i in range(N) if -i <= self.radius_exp]
-        if q ** (len(free_positions) * self.d) > CELL_BUDGET:
+        if q ** ((N + self.radius_exp) * self.d) > CELL_BUDGET:
             raise BudgetExceeded("ball enumeration exceeds the budget")
-        fixed = []
-        for c in self.center:
-            w = 0
-            for i in range(N):
-                if -i > self.radius_exp:
-                    w += c.coeff_at(-i) * q**i
-            fixed.append(w)
-        nfree = len(free_positions)
-        cells = set()
-        for combo in itertools.product(range(q), repeat=nfree * self.d):
-            code = 0
-            for coord in range(self.d - 1, -1, -1):
-                w = fixed[coord]
-                for t, pos in enumerate(free_positions):
-                    w += combo[coord * nfree + t] * q**pos
-                code = code * q**N + w
-            cells.add(code)
-        return CylinderSet(field, N, self.d, frozenset(cells))
+        # digit of degree -i sits at position i of a coordinate word; the
+        # positions below -radius_exp are fixed by the center (whose
+        # degree-0 digit is implicitly zero) and the rest are free, so a
+        # coordinate's words step by q**(-radius_exp) from the fixed part
+        step = q ** -self.radius_exp
+        codes = [0]
+        for k, c in enumerate(self.center):
+            fixed = sum(c.coeff_at(-i) * q**i
+                        for i in range(-self.radius_exp))
+            scale = q ** (N * k)
+            codes = [code + w * scale for w in range(fixed, q**N, step)
+                     for code in codes]
+        return CylinderSet(field, N, self.d, frozenset(codes))
 
     def contains_point(self, point):
         """Membership of an exact point of the closed unit ball."""
@@ -240,32 +245,60 @@ class PolyMap:
         comps = tuple((((i,), one),) for i in range(1, n + 1))
         return cls(1, comps)
 
-    def eval_at(self, point):
-        """Exact evaluation at a point given as a tuple of Laurent values."""
-        field = self.field
-        # cache powers per coordinate
-        powers = [{0: None} for _ in range(self.d)]
+    @cached_property
+    def ops(self):
+        return ops_for(self.field)
 
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                acc = point[i]
-                for _ in range(e - 1):
-                    acc = acc * point[i]
-                cache[e] = acc
-            return cache[e]
+    @cached_property
+    def degrees(self):
+        """Largest total degree of each component's monomials (0 if none)."""
+        return tuple(max((sum(exps) for exps, _ in comp), default=0)
+                     for comp in self.components)
 
+    @cached_property
+    def _terms(self):
+        # per component: (coefficient raw, (coordinate, exponent) pairs,
+        # component degree minus the monomial's total degree)
+        return tuple(
+            tuple((coeff.raw, tuple((i, e) for i, e in enumerate(exps) if e),
+                   D - sum(exps))
+                  for exps, coeff in comp)
+            for comp, D in zip(self.components, self.degrees))
+
+    def eval_raw(self, point, floor):
+        """f at an exact point given as raw digits over T**floor, floor <= 0.
+
+        Returns f_k as a raw polynomial over T**(floor * degrees[k]) for
+        each component k: a monomial of total degree e lives over
+        T**(floor * e), so shifting it up by the missing degree puts every
+        monomial of f_k over that one floor.
+        """
+        ops = self.ops
+        mul = ops.mul
+        powers = [[ops.one, x] for x in point]
         out = []
-        for comp in self.components:
-            acc = Laurent.zero(field)
-            for exps, coeff in comp:
-                term = Laurent.from_poly(coeff)
-                for i, e in enumerate(exps):
-                    if e:
-                        term = term * power(i, e)
-                acc = acc + term
+        for comp in self._terms:
+            acc = ops.zero
+            for term, exps, missing in comp:
+                for i, e in exps:
+                    pw = powers[i]
+                    while len(pw) <= e:
+                        pw.append(mul(pw[-1], pw[1]))
+                    term = mul(term, pw[e])
+                acc = ops.add(acc, ops.shift(term, -floor * missing))
             out.append(acc)
         return tuple(out)
+
+    def eval_at(self, point):
+        """Exact evaluation at an exact point given as Laurent values."""
+        if not all(x.exact for x in point):
+            raise ValueError("eval_at needs an exact point")
+        field, ops = self.field, self.ops
+        floor = min([0] + [x.floor for x in point])
+        raws = self.eval_raw(
+            tuple(ops.shift(x.raw, x.floor - floor) for x in point), floor)
+        return tuple(Laurent._wrap(field, ops, raw, floor * D, True)
+                     for raw, D in zip(raws, self.degrees))
 
     def perturbation_bounds(self, N):
         """Per-component degree bound for |f(x') - f(x)| on one cell.
@@ -294,10 +327,13 @@ class CellGrid:
     """A map's values on every resolution-N cell of a ball.
 
     codes are the sorted cell codes and values[i] is f at the center of
-    cell codes[i]; both are computed on first use and then kept, so every
-    combination, threshold and report read off one grid evaluates the
-    map once per cell.  perts[k] bounds the degree of f_k's variation
-    across one cell.  ball=None means the closed unit ball.
+    cell codes[i], one exact raw polynomial per component: f_k's digits
+    over T**floors[k], floors[k] = floor * f.degrees[k] with floor =
+    min(0, 1 - N), the floor of the centers' digits.  Both are
+    computed on first use and then kept, so every combination, threshold
+    and report read off one grid evaluates the map once per cell.
+    perts[k] bounds the degree of f_k's variation across one cell.
+    ball=None means the closed unit ball.
     """
 
     def __init__(self, f, ball, N):
@@ -305,6 +341,10 @@ class CellGrid:
         self.ball = ball
         self.N = N
         self.perts = f.perturbation_bounds(N)
+        # cell centers have their digits over T**(1-N); at N = 0 the one
+        # center is 0, which eval_raw takes over T**0
+        self.floor = min(0, 1 - N)
+        self.floors = tuple(self.floor * D for D in f.degrees)
 
     @cached_property
     def codes(self):
@@ -316,8 +356,9 @@ class CellGrid:
 
     @cached_property
     def values(self):
-        field, N, d = self.f.field, self.N, self.f.d
-        return [self.f.eval_at(cell_center(field, code, N, d))
+        f, N = self.f, self.N
+        field, d = f.field, f.d
+        return [f.eval_raw(cell_digits(field, code, N, d), self.floor)
                 for code in self.codes]
 
     def good_report(self, combo, alpha_r, slack=2, claimed_C=None):
@@ -440,29 +481,32 @@ def _positive(alpha_r):
     return alpha_r
 
 
-def degree_class(value, guard):
-    """(degree, certain) of a cell-center value whose variation across
-    the cell has degree at most guard.
+def degree_class(dgr, guard):
+    """Whether a cell-center degree holds on the whole cell.
 
-    The degree is NEG_INF for an exact zero and None for an inexact zero
-    (no digit known).  It holds on the whole cell -- certain -- when it
-    exceeds the guard, or when nothing varies (guard NEG_INF).
+    dgr is NEG_INF for an exact zero and None for an inexact zero (no
+    digit known), and guard bounds the degree of the value's variation
+    across the cell.  The degree is certain when it exceeds the guard,
+    or when nothing varies (guard NEG_INF).
     """
-    if value.raw:
-        dgr = value.lead
-    elif value.exact:
-        dgr = NEG_INF
-    else:
-        return None, False
-    return dgr, guard is NEG_INF or (dgr is not NEG_INF and dgr > guard)
+    if dgr is None:
+        return False
+    return guard is NEG_INF or (dgr is not NEG_INF and dgr > guard)
 
 
 def combo_degree_table(grid, base, coeffs):
     """Values and degree classes of base + sum c_i f_i on a cell grid.
 
-    Returns (rows, guard): rows[i] = (value, degree, certain) on the cell
-    grid.codes[i], and guard = max(deg c_i + pert_i) over the nonzero
-    c_i, the degree bound of the sum's variation across one cell.
+    Returns (rows, guard): rows[i] = ((raw, floor, exact), degree,
+    certain) on the cell grid.codes[i], the value being raw * T**floor
+    with its digits below floor unknown unless exact; guard = max(deg
+    c_i + pert_i) over the nonzero c_i, the degree bound of the sum's
+    variation across one cell.
+
+    The known floor follows Laurent arithmetic: an inexact base gives
+    its floor, an inexact c_i gives c_i.floor + deg f_i(center) where
+    f_i(center) is nonzero (an exact-zero product is exact), the highest
+    of these wins, and the digits below it are dropped.
     """
     if len(coeffs) != grid.f.n:
         raise ValueError("combination length must be 1 + n")
@@ -473,12 +517,36 @@ def combo_degree_table(grid, base, coeffs):
             cand = c.degree() + grid.perts[i]
             if guard is NEG_INF or cand > guard:
                 guard = cand
+    ops = grid.f.ops
+    add, mul, deg = ops.add, ops.mul, ops.deg
+    floors = grid.floors
+    # every summand over one common floor: c_i aligned so that c_i * f_i
+    # lands there
+    low = min([base.floor] + [c.floor + floors[i] for i, c in terms])
+    start = ops.shift(base.raw, base.floor - low)
+    start_known = None if base.exact else base.floor
+    scaled = [(i, ops.shift(c.raw, c.floor + floors[i] - low),
+               None if c.exact else c.floor + floors[i])
+              for i, c in terms]
     rows = []
     for vals in grid.values:
-        acc = base
-        for i, c in terms:
-            acc = acc + c * vals[i]
-        rows.append((acc,) + degree_class(acc, guard))
+        acc, known = start, start_known
+        for i, c, cfloor in scaled:
+            v = vals[i]
+            if v:
+                acc = add(acc, mul(c, v))
+                if cfloor is not None:
+                    k = cfloor + deg(v)
+                    if known is None or k > known:
+                        known = k
+        if known is None:
+            value = (acc, low, True)
+            dgr = low + deg(acc) if acc else NEG_INF
+        else:
+            acc = ops.drop(acc, known - low)
+            value = (acc, known, False)
+            dgr = known + deg(acc) if acc else None
+        rows.append((value, dgr, degree_class(dgr, guard)))
     return rows, guard
 
 

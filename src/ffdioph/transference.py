@@ -19,10 +19,13 @@ with exact measures, the two hypotheses that argument needs:
 
 Thresholds realize |.| < e**(-x) as deg <= -floor(x)-1, exact in the
 discrete value group.  Cell values come from the config's
-goodmaps.CellGrid, and membership from goodmaps' one guard rule and
-sublevel partition.  Ambiguous cells (below the Lipschitz guard, or
-whose value is an inexact zero, as an inexact theta can leave) are
-excluded from both sides of every inclusion and counted, never guessed.
+goodmaps.CellGrid as raw digits with a known floor, and membership from
+goodmaps' one guard rule and sublevel partition; enum_alphas splits
+those raw values at degree 0 into the polynomial part that p cancels
+and the fractional part it classifies.  Ambiguous cells (below the
+Lipschitz guard, or whose value is an inexact zero, as an inexact theta
+can leave) are excluded from both sides of every inclusion and counted,
+never guessed.
 
 The module also hosts the exponent-inequality checks (the two
 transference inequalities relating omega(X, theta) to the transposed
@@ -44,7 +47,7 @@ from .algebra.degree import NEG_INF
 from .algebra.laurent import Laurent, LaurentMat, LaurentVec
 from .algebra.poly import Poly
 from .diophantine import best_profile, omega_estimate
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, PrecisionExhausted
 from .goodmaps import (
     BallSpec,
     CellGrid,
@@ -193,21 +196,36 @@ def enum_alphas(cfg):
     if field.q ** ((cfg.n + 1) * (cfg.t + 1)) > ENUM_BUDGET:
         raise BudgetExceeded("alpha enumeration exceeds the budget")
     thresh = cfg.threshold()
+    ops = cfg.f.ops
     out = []
     seen = set()
     theta = cfg.theta if cfg.theta is not None else Laurent.zero(field)
     for q in _iter_q_vectors(cfg):
         rows, guard = combo_degree_table(
             cfg.grid, theta, [Laurent.from_poly(c) for c in q])
-        for acc, _, _ in rows:
-            p = -acc.poly_part()
-            d, certain = degree_class(acc + Laurent.from_poly(p), guard)
-            if certain and d is not NEG_INF and d > thresh:
+        for (raw, floor, exact), _, _ in rows:
+            # split raw * T**floor at degree 0: p cancels the digits at
+            # degrees >= 0, and the rest is the fractional part
+            if not exact and floor > 0:
+                raise PrecisionExhausted(
+                    "polynomial part needs digits down to 0, "
+                    f"floor is {floor}")
+            if floor < 0:
+                poly = ops.drop(raw, -floor)
+                frac = ops.sub(raw, ops.shift(poly, -floor))
+            else:
+                poly, frac = ops.shift(raw, floor), ops.zero
+            if frac:
+                d = floor + ops.deg(frac)
+            else:
+                d = NEG_INF if exact else None
+            if degree_class(d, guard) and d is not NEG_INF and d > thresh:
                 continue
-            key = (p.raw, tuple(c.raw for c in q))
+            p = ops.neg(poly)
+            key = (p, tuple(c.raw for c in q))
             if key not in seen:
                 seen.add(key)
-                out.append(AlphaIndex(p, q))
+                out.append(AlphaIndex(Poly._wrap(field, p), q))
     return out
 
 

@@ -200,13 +200,13 @@ class TestGoodcheck:
         from ffdioph.goodmaps import PolyMap
 
         calls = []
-        original = PolyMap.eval_at
+        original = PolyMap.eval_raw
 
-        def counting(self, point):
-            calls.append(point)
-            return original(self, point)
+        def counting(self, point, floor):
+            calls.append((point, floor))
+            return original(self, point, floor)
 
-        monkeypatch.setattr(PolyMap, "eval_at", counting)
+        monkeypatch.setattr(PolyMap, "eval_raw", counting)
         code, out = run_cli([
             "goodcheck", "--map", "veronese:2", "--alpha", "1",
             "-N", "6", "--closure",
@@ -335,6 +335,48 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["cfrac"])
         assert exc.value.code == 2
+
+
+class TestInputErrors:
+    """Malformed numbers and literals are usage errors: exit 2, one line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["goodcheck", "--map", "veronese:1", "--alpha", "1/0", "-N", "4"],
+        ["goodcheck", "--map", "veronese:1", "--alpha", "1", "-N", "4",
+         "--claimed-C", "2/0"],
+        ["transfer", "intersection", "--omega", "5/0", "-N", "4"],
+        ["transfer", "contraction", "--C", "1/0", "--alpha0", "1",
+         "-N", "4"],
+    ], ids=["alpha", "claimed-C", "omega", "C"])
+    def test_zero_denominator(self, capsys, argv):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: zero denominator")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["cfrac", "--y", "T^-1 + bad"],
+        ["exponent", "--Y", "T^-1 + T^-3", "--theta", "T^-2 + zz"],
+        ["goodcheck", "--map", "veronese:1", "--alpha", "1", "-N", "4",
+         "--combo", "0;T^-1 + zz"],
+        # a coefficient outside [0, p)
+        ["goodcheck", "--map", "veronese:1", "--alpha", "1", "-N", "4",
+         "--combo", "0;5"],
+    ], ids=["cfrac-y", "exponent-theta", "goodcheck-combo", "out-of-range"])
+    def test_malformed_literal(self, capsys, argv):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_instance_entry(self, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        path.write_text("q=2 m=1 n=1 t=2,2\nT^-1 + zz\n")
+        code, out = run_cli(["dirichlet", "--instance", str(path)])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestModuleEntryPoint:

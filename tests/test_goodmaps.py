@@ -4,9 +4,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffdioph import Laurent, Poly, parse_laurent
+from ffdioph import FieldSpec, Laurent, Poly, parse_laurent
 from ffdioph.algebra.degree import NEG_INF
+from ffdioph.algebra.poly import ops_for
+from ffdioph.errors import AmbiguousZero, PrecisionExhausted
 from ffdioph.goodmaps import (
     BallSpec,
     CellGrid,
@@ -22,6 +26,7 @@ from ffdioph.goodmaps import (
     origin_ball,
 )
 from ffdioph.qpow import QPow, floor_ln
+from ffdioph.transference import SetFamilyConfig, _iter_q_vectors, enum_alphas
 
 
 def one_zero(field):
@@ -237,3 +242,202 @@ class TestDoubling:
         b = origin_ball(F2, 1, -1)
         assert b.dilate(5).radius_exp == 0
         assert b.dilate(25).radius_exp == 0
+
+
+# ---------------------------------------------------------------------------
+# the raw-digit cell kernel against Laurent arithmetic
+# ---------------------------------------------------------------------------
+
+FIELDS = {q: FieldSpec.get(q) for q in (2, 3, 9)}
+
+
+def reference_center(field, code, N, d):
+    """A cell center built digit by digit as Laurent values."""
+    q = field.q
+    point = []
+    for _ in range(d):
+        code, word = divmod(code, q**N)
+        digits = [word // q**i % q for i in range(N)]  # degrees 0, -1, ...
+        point.append(Laurent(field, digits, 0, exact=True))
+    return tuple(point)
+
+
+def reference_eval(f, point):
+    """f(point) by Laurent products and sums, monomial by monomial."""
+    out = []
+    for comp in f.components:
+        acc = Laurent.zero(f.field)
+        for exps, coeff in comp:
+            term = Laurent.from_poly(coeff)
+            for x, e in zip(point, exps):
+                for _ in range(e):
+                    term = term * x
+            acc = acc + term
+        out.append(acc)
+    return out
+
+
+def reference_class(value, guard):
+    """The value-based rule: (degree, certain), degree None if unknown."""
+    if value.raw:
+        dgr = value.lead
+    elif value.exact:
+        dgr = NEG_INF
+    else:
+        return None, False
+    return dgr, guard is NEG_INF or (dgr is not NEG_INF and dgr > guard)
+
+
+def reference_table(grid, base, coeffs):
+    """(Laurent value, degree, certain) per cell, and the guard."""
+    f = grid.f
+    terms = [(i, c) for i, c in enumerate(coeffs) if not c.is_known_zero()]
+    guard = NEG_INF
+    for i, c in terms:
+        if grid.perts[i] is not NEG_INF:
+            cand = c.degree() + grid.perts[i]
+            if guard is NEG_INF or cand > guard:
+                guard = cand
+    rows = []
+    for code in grid.codes:
+        vals = reference_eval(
+            f, reference_center(f.field, code, grid.N, f.d))
+        acc = base
+        for i, c in terms:
+            acc = acc + c * vals[i]
+        rows.append((acc,) + reference_class(acc, guard))
+    return rows, guard
+
+
+def reference_alphas(cfg):
+    """enum_alphas read off Laurent values with poly_part."""
+    thresh = cfg.threshold()
+    out, seen = [], set()
+    for q in _iter_q_vectors(cfg):
+        rows, guard = reference_table(
+            cfg.grid, cfg.theta, [Laurent.from_poly(c) for c in q])
+        for acc, _, _ in rows:
+            p = -acc.poly_part()
+            d, certain = reference_class(acc + Laurent.from_poly(p), guard)
+            if certain and d is not NEG_INF and d > thresh:
+                continue
+            key = (p.raw, tuple(c.raw for c in q))
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+    return out
+
+
+@st.composite
+def laurents(draw, field):
+    """Exact zero, exact, inexact or ambiguous-zero values near degree 0."""
+    kind = draw(st.sampled_from(
+        ("zero", "exact", "inexact", "inexact", "ambiguous")))
+    if kind == "zero":
+        return Laurent.zero(field)
+    lead = draw(st.integers(-3, 2))
+    if kind == "ambiguous":
+        return Laurent.unknown_below(field, lead)
+    digits = draw(st.lists(st.integers(0, field.q - 1), min_size=1,
+                           max_size=3))
+    return Laurent(field, digits, lead, exact=kind == "exact")
+
+
+@st.composite
+def poly_maps(draw, field, d, n):
+    comps = []
+    for _ in range(n):
+        monos = []
+        for _ in range(draw(st.integers(1, 3))):
+            exps = tuple(draw(st.lists(st.integers(0, 2), min_size=d,
+                                       max_size=d)))
+            coeff = draw(st.lists(st.integers(0, field.q - 1), max_size=3))
+            monos.append((exps, Poly(field, coeff)))
+        comps.append(tuple(monos))
+    # PolyMap.field reads the first coefficient
+    comps[0] += (((0,) * d, Poly.zero(field)),)
+    return PolyMap(d, tuple(comps))
+
+
+@st.composite
+def balls(draw, field, d, N, max_radius):
+    """An origin ball, or a ball about a random center of the open ball."""
+    radius = draw(st.integers(-N, max_radius))
+    center = tuple(
+        Laurent(field, draw(st.lists(st.integers(0, field.q - 1),
+                                     min_size=N, max_size=N)), -1)
+        for _ in range(d))
+    return BallSpec(center, radius)
+
+
+def max_resolution(q, d, cells=81):
+    """Largest N with at most `cells` cells in the unit ball of F**d."""
+    N = 1
+    while q ** ((N + 1) * d) <= cells:
+        N += 1
+    return N
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+class TestRawKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_combo_table_matches_laurent(self, q, data):
+        field = FIELDS[q]
+        d = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(1, 2))
+        N = data.draw(st.integers(0, max_resolution(q, d)))
+        f = data.draw(poly_maps(field, d, n))
+        ball = data.draw(st.none() | balls(field, d, N, 0))
+        base = data.draw(laurents(field))
+        coeffs = [data.draw(laurents(field)) for _ in range(n)]
+        grid = CellGrid(f, ball, N)
+        if ball is not None:
+            # the ball's cells are exactly the unit-ball cells it contains
+            assert grid.codes == [
+                code for code in range(q ** (N * d))
+                if ball.contains_point(reference_center(field, code, N, d))]
+        try:
+            expect, expect_guard = reference_table(grid, base, coeffs)
+        except AmbiguousZero:
+            with pytest.raises(AmbiguousZero):
+                combo_degree_table(grid, base, coeffs)
+            return
+        rows, guard = combo_degree_table(grid, base, coeffs)
+        assert guard == expect_guard
+        ops = ops_for(field)
+        for ((raw, floor, exact), dgr, certain), (acc, edgr, ecert) in zip(
+                rows, expect, strict=True):
+            assert Laurent._wrap(field, ops, raw, floor, exact) == acc
+            assert (dgr, certain) == (edgr, ecert)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_enum_alphas_matches_poly_part(self, q, data):
+        field = FIELDS[q]
+        d = data.draw(st.integers(1, 2))
+        n = 1 if q == 9 else data.draw(st.integers(1, 2))
+        t = data.draw(st.integers(0, 1))
+        N = data.draw(st.integers(2, max_resolution(q, d) + 1))
+        f = data.draw(poly_maps(field, d, n))
+        V = data.draw(balls(field, d, N, -1))
+        theta = data.draw(laurents(field))
+        omega = data.draw(st.sampled_from(
+            (Fraction(2), Fraction(5, 2), Fraction(3))))
+        cfg = SetFamilyConfig(f, V, theta, omega, t, N)
+        try:
+            expect = reference_alphas(cfg)
+        except (AmbiguousZero, PrecisionExhausted) as exc:
+            with pytest.raises(type(exc)) as err:
+                enum_alphas(cfg)
+            assert str(err.value) == str(exc)
+            return
+        got = [(a.p.raw, tuple(c.raw for c in a.q)) for a in enum_alphas(cfg)]
+        assert got == expect
+
+    def test_eval_at_refuses_inexact_point(self, q):
+        field = FIELDS[q]
+        f = PolyMap.veronese(field, 2)
+        with pytest.raises(ValueError):
+            f.eval_at((parse_laurent("T^-1 + O(T^-4)", field),))
+
