@@ -10,7 +10,7 @@ from ffdioph.experiments import ExperimentConfig, run_extremal
 
 cfg = ExperimentConfig(
     q=2, modulus=None, map_spec="veronese:2", theta="T^-1 + T^-5",
-    d=1, tau_max=16, precision=0, depth=48, samples=40, seed=20240,
+    tau_max=16, precision=0, depth=48, samples=40, seed=20240,
     format="json",
 )
 print(f"map {cfg.map_spec}, theta = {cfg.theta}, "

@@ -273,9 +273,6 @@ class Laurent:
         quot, _ = ops.divmod(top, self.raw)
         return Laurent._wrap(self.field, ops, quot, floor, False)
 
-    def divide(self, other, floor=None):
-        return self * other.inverse(floor=floor)
-
     def poly_part(self):
         """Digits at degrees >= 0, as a Poly; needs the floor to reach 0."""
         if not self.exact and self.floor > 0:

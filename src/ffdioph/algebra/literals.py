@@ -204,43 +204,16 @@ def parse_poly(text, field):
 
 
 def parse_ratfn(text, field):
-    """Parse "P" or "P/Q" with optional parentheses around each side."""
-    depth = 0
-    split = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise LiteralSyntaxError("unbalanced ')'", i)
-        elif ch == "/" and depth == 0:
-            if split is not None:
-                raise LiteralSyntaxError("more than one '/'", i)
-            split = i
-    if depth != 0:
-        raise LiteralSyntaxError("unbalanced '('", len(text))
-
-    def strip_parens(s):
-        s = s.strip()
-        while s.startswith("(") and s.endswith(")"):
-            depth = 0
-            ok = True
-            for j, ch in enumerate(s):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                    if depth == 0 and j != len(s) - 1:
-                        ok = False
-                        break
-            if not ok:
-                break
-            s = s[1:-1].strip()
-        return s
-
-    if split is None:
-        return RatFn(parse_poly(strip_parens(text), field))
-    num = parse_poly(strip_parens(text[:split]), field)
-    den = parse_poly(strip_parens(text[split + 1:]), field)
-    return RatFn(num, den)
+    """Parse "P" or "P/Q", each side optionally in parentheses."""
+    sides = text.split("/")
+    if len(sides) > 2:
+        raise LiteralSyntaxError("more than one '/'", text.rindex("/"))
+    polys = []
+    for side in sides:
+        side = side.strip()
+        while side.startswith("(") and side.endswith(")"):
+            side = side[1:-1].strip()
+        polys.append(parse_poly(side, field))
+    if len(polys) == 2 and polys[1].is_zero():
+        raise LiteralSyntaxError("zero denominator", text.index("/"))
+    return RatFn(*polys)

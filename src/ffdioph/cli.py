@@ -12,34 +12,32 @@ runs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .algebra.degree import NEG_INF
-from .algebra.field import FieldSpec
 from .algebra.laurent import Laurent, LaurentMat, LaurentVec
 from .algebra.literals import format_poly, parse_laurent, parse_ratfn
 from .algebra.poly import Poly
 from .diophantine import (
-    DirichletInstance,
     best_profile,
     cf_expand,
     cf_expand_rational,
     dirichlet_solve,
     omega_estimate,
 )
-from .errors import (
-    CoefficientOutOfRange,
-    FFDiophError,
-    LiteralSyntaxError,
-)
-from .experiments import (
-    ExperimentConfig,
+from .errors import CoefficientOutOfRange, FFDiophError, LiteralSyntaxError
+from .experiments import ExperimentConfig, run_extremal, sample_unit_ball
+from .formats import (
     load_map,
-    run_extremal,
-    sample_unit_ball,
+    parse_field,
+    parse_fraction,
+    parse_ints,
+    parse_row,
+    read_forms,
+    read_instance,
 )
 from .goodmaps import CellGrid, nonplanarity_check, origin_ball
 from .qpow import QPow
@@ -56,22 +54,6 @@ def _emit(payload):
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _field(args):
-    modulus = None
-    if getattr(args, "modulus", None):
-        modulus = tuple(int(c) for c in args.modulus.split(","))
-    return FieldSpec.get(args.q, modulus)
-
-
-def _fr(text):
-    if "/" in text:
-        a, b = (int(x) for x in text.split("/", 1))
-        if b == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(a, b)
-    return Fraction(int(text))
-
-
 def _deg_json(d):
     return "-inf" if d is NEG_INF else d
 
@@ -80,7 +62,7 @@ def _deg_json(d):
 
 
 def _cmd_cfrac(args):
-    field = _field(args)
+    field = parse_field(args.q, args.modulus)
     text = args.y
     if "/" in text:
         cf = cf_expand_rational(parse_ratfn(text, field), args.max_terms)
@@ -102,70 +84,12 @@ def _cmd_cfrac(args):
 # -- exponent ----------------------------------------------------------------
 
 
-def _read_table(path, what, keys):
-    """Header and '|'-separated entry rows of a matrix or instance file.
-
-    The first nonblank line is the header; it must give every name in
-    keys as key=<int>, the first two being the row and entry counts (each
-    >= 1).  Exactly that many data lines follow, each with that many
-    entries.  Returns (header, integers of keys, rows of entry strings);
-    a malformed file raises ValueError naming `what`.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{what} is empty")
-    header = dict(item.split("=", 1) for item in lines[0].split()
-                  if "=" in item)
-    try:
-        ints = {k: int(header[k]) for k in keys}
-    except (KeyError, ValueError):
-        raise ValueError(f"{what} header needs "
-                         + " and ".join(f"{k}=<int>" for k in keys)) from None
-    rows_key, cols_key = keys[:2]
-    m, n = ints[rows_key], ints[cols_key]
-    if m < 1 or n < 1:
-        raise ValueError(f"{what} needs {rows_key} >= 1 and {cols_key} >= 1")
-    if len(lines) - 1 != m:
-        raise ValueError(f"{what} header says {rows_key}={m} but "
-                         f"{len(lines) - 1} data lines follow")
-    rows = []
-    for i, ln in enumerate(lines[1:], 1):
-        cells = ln.split("|")
-        if len(cells) != n:
-            raise ValueError(f"{what} row {i} has {len(cells)} entries, "
-                             f"header says {cols_key}={n}")
-        rows.append([c.strip() for c in cells])
-    return header, ints, rows
-
-
-def _laurent_rows(rows, field):
-    return LaurentMat([[parse_laurent(c, field) for c in row]
-                       for row in rows])
-
-
-def _load_forms(args, field):
-    text = args.Y
-    try:
-        _, _, rows = _read_table(text, "matrix file", ("rows", "cols"))
-    except OSError:
-        rows = None
-    if rows is not None:
-        return _laurent_rows(rows, field)
-    if ";" in text:
-        entries = [parse_laurent(t.strip(), field)
-                   for t in text.split(";")]
-        return LaurentMat([entries])
-    return LaurentMat([[parse_laurent(text, field)]])
-
-
 def _cmd_exponent(args):
-    field = _field(args)
-    Y = _load_forms(args, field)
+    field = parse_field(args.q, args.modulus)
+    Y = read_forms(args.Y, field)
     theta = None
     if args.theta and args.theta != "0":
-        th = parse_laurent(args.theta, field)
-        theta = (th,) * Y.m if Y.m > 1 else (th,)
+        theta = (parse_laurent(args.theta, field),) * Y.m
     prof = best_profile(Y, theta, tau_max=args.tau_max)
     est = omega_estimate(prof, Y.m, Y.n,
                          tau_min=max(2, args.tau_max // 2))
@@ -190,18 +114,7 @@ def _cmd_exponent(args):
 
 
 def _cmd_dirichlet(args):
-    header, ints, rows = _read_table(args.instance, "instance file",
-                                     ("m", "n", "q"))
-    try:
-        t = tuple(int(x) for x in header["t"].split(","))
-    except (KeyError, ValueError):
-        raise ValueError("instance file header needs t=<int>,<int>,...") \
-            from None
-    if len(t) != ints["m"] + ints["n"]:
-        raise ValueError(f"instance file header gives {len(t)} weights "
-                         f"in t, needs m+n = {ints['m'] + ints['n']}")
-    field = FieldSpec.get(ints["q"])
-    inst = DirichletInstance(_laurent_rows(rows, field), t)
+    inst = read_instance(args.instance)
     sol = dirichlet_solve(inst)
     payload = {
         "p": [format_poly(x) for x in sol.p],
@@ -209,7 +122,7 @@ def _cmd_dirichlet(args):
         "err_degs": [(_deg_json(d) if d is not None else "below-floor")
                      for d in sol.err_degs],
         "q_deg": sol.q_deg,
-        "weights": list(t),
+        "weights": list(inst.t),
         "valid": True,
     }
     _emit(payload)
@@ -220,23 +133,23 @@ def _cmd_dirichlet(args):
 
 
 def _cmd_goodcheck(args):
-    field = _field(args)
+    field = parse_field(args.q, args.modulus)
     f = load_map(args.map, field)
     ball = origin_ball(field, f.d, args.ball_radius)
     if args.combo:
-        combo = tuple(parse_laurent(c.strip(), field)
-                      for c in args.combo.split(";"))
+        combo = parse_row(args.combo, field)
     else:
         combo = (Laurent.zero(field), Laurent.from_poly(Poly.one(field)))
         combo += (Laurent.zero(field),) * (f.n - 1)
-    claimed = QPow(field.q, _fr(args.claimed_C)) if args.claimed_C else None
+    claimed = (QPow(field.q, parse_fraction(args.claimed_C))
+               if args.claimed_C else None)
     # the report and the closure check share one evaluation of the map
     grid = CellGrid(f, ball, args.resolution)
-    rep = grid.good_report(combo, _fr(args.alpha), claimed_C=claimed)
+    alpha = parse_fraction(args.alpha)
+    rep = grid.good_report(combo, alpha, claimed_C=claimed)
     payload = {"good": rep.as_json_dict()}
     if args.closure:
-        payload["closure"] = grid.closure_report(
-            _fr(args.alpha)).as_json_dict()
+        payload["closure"] = grid.closure_report(alpha).as_json_dict()
     if args.nonplanarity_trials:
         if args.seed is None:
             print("a seed is required for randomized runs",
@@ -265,7 +178,7 @@ def _random_vectors(field, n, count, depth, seed):
 
 
 def _cmd_transfer(args):
-    field = _field(args)
+    field = parse_field(args.q, args.modulus)
     kind = args.kind
     if kind in ("bz", "dyson"):
         instances = []
@@ -279,9 +192,7 @@ def _cmd_transfer(args):
                                       -floor, args.seed):
                 instances.append(tuple(x.forget_below(floor) for x in pt))
         elif args.y:
-            instances.append(tuple(
-                parse_laurent(t.strip(), field) for t in args.y.split(";")
-            ))
+            instances.append(parse_row(args.y, field))
         else:
             print("give --y or --random", file=sys.stderr)
             return 2
@@ -309,14 +220,15 @@ def _cmd_transfer(args):
     f = load_map(args.map, field)
     theta = parse_laurent(args.theta, field)
     V = origin_ball(field, f.d, -1)
-    t_values = [int(x) for x in args.t.split(",")]
+    t_values = parse_ints(args.t)
     reports = []
     worst = 0
     for t in t_values:
         cfg = SetFamilyConfig(
-            f, V, theta, _fr(args.omega), t, args.resolution,
-            good_C=QPow(field.q, _fr(args.C)) if args.C else None,
-            alpha0_r=_fr(args.alpha0) if args.alpha0 else None,
+            f, V, theta, parse_fraction(args.omega), t, args.resolution,
+            good_C=(QPow(field.q, parse_fraction(args.C))
+                    if args.C else None),
+            alpha0_r=parse_fraction(args.alpha0) if args.alpha0 else None,
         )
         if kind == "intersection":
             rep = verify_intersection(cfg)
@@ -335,7 +247,7 @@ def _cmd_transfer(args):
 def _cmd_extremal(args):
     cfg = ExperimentConfig.from_file(args.config)
     if args.format:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "format": args.format})
+        cfg = dataclasses.replace(cfg, format=args.format)
     report = run_extremal(cfg)
     if cfg.format == "csv":
         sys.stdout.write(report.to_csv())
@@ -427,13 +339,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (LiteralSyntaxError, CoefficientOutOfRange) as exc:
-        # malformed input text, not a failed check
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FFDiophError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # malformed input text is a usage error, not a failed check
+        return 2 if isinstance(exc, (LiteralSyntaxError,
+                                     CoefficientOutOfRange)) else 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

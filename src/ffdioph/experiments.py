@@ -11,14 +11,18 @@ The per-horizon statistic is the ratio m(-L(tau))/(n tau), whose
 almost-everywhere limit is the critical value 1; the report emits exact
 rational quantile trajectories (median and p90) across the tau grid.
 Identical (config, seed) pairs reproduce byte-identical reports.
+
+Configs and maps are read by formats; a config loads its map once, and
+the map fixes both dimensions: points have its d coordinates, and n is
+its number of components.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .algebra.degree import NEG_INF
@@ -26,18 +30,22 @@ from .algebra.field import FieldSpec
 from .algebra.laurent import Laurent, LaurentMat
 from .algebra.literals import parse_laurent
 from .diophantine import best_profile
-from .goodmaps import PolyMap
+from .formats import load_map, parse_config, parse_ints, read_text
+
+
+# config-file keys, each setting the same-named field (map: map_spec)
+CONFIG_KEYS = ("q", "modulus", "map", "theta", "tau_max", "precision",
+               "depth", "samples", "seed", "format")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat description of one extremality run (see config file keys)."""
+    """Flat description of one extremality run (see CONFIG_KEYS)."""
 
     q: int
     modulus: Optional[tuple]
     map_spec: str  # "veronese:<n>" or a JSON map file path
     theta: str
-    d: int
     tau_max: int
     precision: int  # working floor (negative)
     depth: int      # sampled coefficient count per coordinate
@@ -59,7 +67,9 @@ class ExperimentConfig:
     def field(self):
         return FieldSpec.get(self.q, self.modulus)
 
+    @cached_property
     def polymap(self):
+        """The configured map, loaded once per config."""
         return load_map(self.map_spec, self.field)
 
     def tau_grid(self):
@@ -70,66 +80,36 @@ class ExperimentConfig:
 
     def working_floor(self):
         """Truncation floor; defaults deep enough for the tau range."""
-        n = self.polymap().n
+        n = self.polymap.n
         needed = -(n + 1) * self.tau_max - 8
         return min(self.precision, needed) if self.precision else needed
 
     @classmethod
     def from_file(cls, path):
-        keys = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                k, _, v = line.partition("=")
-                keys[k.strip()] = v.strip()
-        return cls.from_keys(keys)
+        return cls.from_keys(parse_config(read_text(path)))
 
     @classmethod
     def from_keys(cls, keys):
-        q = int(keys.get("q", 2))
-        modulus = None
-        if keys.get("modulus"):
-            modulus = tuple(int(c) for c in keys["modulus"].split(","))
-        map_spec = keys.get("map", f"veronese:{keys.get('n', 2)}")
-        if map_spec.isdigit():
-            map_spec = f"veronese:{map_spec}"
+        """Config from string values by key; an unknown key is refused."""
+        unknown = sorted(set(keys) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}; the keys "
+                             f"are {', '.join(CONFIG_KEYS)}")
+        if "seed" not in keys:
+            raise ValueError("config needs seed=<int>")
+        get = keys.get
         return cls(
-            q=q,
-            modulus=modulus,
-            map_spec=map_spec,
-            theta=keys.get("theta", "0"),
-            d=int(keys.get("d", 1)),
-            tau_max=int(keys.get("tau_max", 20)),
-            precision=int(keys.get("precision", 0)),
-            depth=int(keys.get("depth", 60)),
-            samples=int(keys.get("samples", 50)),
+            q=int(get("q", 2)),
+            modulus=parse_ints(keys["modulus"]) if get("modulus") else None,
+            map_spec=get("map", "veronese:2"),
+            theta=get("theta", "0"),
+            tau_max=int(get("tau_max", 20)),
+            precision=int(get("precision", 0)),
+            depth=int(get("depth", 60)),
+            samples=int(get("samples", 50)),
             seed=int(keys["seed"]),
-            format=keys.get("format", "json"),
+            format=get("format", "json"),
         )
-
-
-def load_map(spec, field):
-    """Polynomial map from "veronese:<n>" or a JSON map file path.
-
-    JSON map file: {"d": int, "components": [[{"exps", "coeff"}...]]}.
-    """
-    from .algebra.literals import parse_poly
-
-    if spec.startswith("veronese:"):
-        return PolyMap.veronese(field, int(spec.split(":", 1)[1]))
-    with open(spec, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    comps = []
-    for comp in doc["components"]:
-        monos = []
-        for mono in comp:
-            exps = tuple(int(e) for e in mono["exps"])
-            coeff = parse_poly(mono["coeff"], field)
-            monos.append((exps, coeff))
-        comps.append(tuple(monos))
-    return PolyMap(int(doc["d"]), tuple(comps))
 
 
 def sample_unit_ball(field, d, depth, rng):
@@ -219,7 +199,7 @@ def run_extremal(cfg):
     exact rational hit are excluded from the quantiles and counted.
     """
     field = cfg.field
-    f = cfg.polymap()
+    f = cfg.polymap
     rng = random.Random(cfg.seed)
     theta_lit = cfg.theta.strip() or "0"
     theta_val = parse_laurent(theta_lit, field)
@@ -232,7 +212,7 @@ def run_extremal(cfg):
     excluded_precision = 0
     excluded_infinite = 0
     for idx in range(cfg.samples):
-        x = sample_unit_ball(field, cfg.d, cfg.depth, rng)
+        x = sample_unit_ball(field, f.d, cfg.depth, rng)
         vals = f.eval_at(x)
         Y = LaurentMat([[v.known_part(floor).forget_below(floor)
                          for v in vals]])

@@ -109,10 +109,6 @@ class CylinderSet:
         return CylinderSet(self.field, self.N, self.d,
                            self.cells - other.cells)
 
-    def issubset(self, other):
-        self._compat(other)
-        return self.cells <= other.cells
-
     def _compat(self, other):
         if (self.field, self.N, self.d) != (other.field, other.N, other.d):
             raise ValueError("cylinder sets at different resolutions")
@@ -226,6 +222,14 @@ class PolyMap:
 
     d: int
     components: tuple
+
+    def __post_init__(self):
+        if self.d < 1 or not self.components:
+            raise ValueError("a map needs d >= 1 and a component")
+        if any(len(exps) != self.d or min(exps) < 0
+               for comp in self.components for exps, _ in comp):
+            raise ValueError(f"every exponent vector must hold {self.d} "
+                             "nonnegative entries")
 
     @property
     def n(self):

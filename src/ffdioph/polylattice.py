@@ -13,14 +13,15 @@ its pivot column until no row's degree fits under it
 (``_reduce_target``).
 
 The inner elimination loop runs on raw coefficient representations (int
-bitmasks over F_2, tuples elsewhere); see algebra.poly.
+bitmasks over F_2, tuples elsewhere); see algebra.poly.  Module bases
+are read from and written to matrix files by formats.parse_matrix_text
+and formats.write_matrix_file.
 """
 
 from __future__ import annotations
 
 from .algebra.degree import NEG_INF
 from .algebra.laurent import Laurent, LaurentVec
-from .algebra.literals import format_laurent, parse_laurent
 from .algebra.poly import Poly, ops_for
 from .errors import PrecisionExhausted, RankDeficient
 
@@ -374,68 +375,3 @@ def closest_vector(rb, w):
         for j in range(k)
     )
     return v, dist, tuple(Poly._wrap(field, c) for c in coeffs)
-
-
-# -- matrix file format -----------------------------------------------------
-
-
-def write_matrix_file(path, M, s):
-    """Line format: header `q= rows= cols= shift=`; entries ' | ' separated."""
-    lines = [
-        f"q={M.field.q} rows={M.k} cols={M.k} "
-        f"shift={','.join(str(x) for x in s)}"
-    ]
-    for i in range(M.k):
-        cells = [format_laurent(M.entry_laurent(i, j)) for j in range(M.k)]
-        lines.append(" | ".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def parse_matrix_text(text, field=None):
-    """Parse the matrix file format; returns (PolyMat, Shift).
-
-    Laurent entries are admitted by factoring the lowest listed degree
-    out of each column.
-    """
-    from .algebra.field import FieldSpec
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix file")
-    header = dict(
-        item.split("=", 1) for item in lines[0].split() if "=" in item
-    )
-    q = int(header["q"])
-    rows = int(header["rows"])
-    cols = int(header["cols"])
-    if rows != cols:
-        raise ValueError("module bases must be square")
-    s = Shift(header["shift"].split(",")) if header.get("shift") else \
-        Shift.zero(cols)
-    if field is None:
-        field = FieldSpec.get(q)
-    vals = []
-    for ln in lines[1:rows + 1]:
-        cells = [parse_laurent(c.strip(), field) for c in ln.split("|")]
-        if len(cells) != cols:
-            raise ValueError("wrong number of entries in a row")
-        vals.append(cells)
-    col_scale = []
-    for j in range(cols):
-        floors = [vals[i][j].floor for i in range(rows)
-                  if not vals[i][j].is_known_zero()]
-        col_scale.append(min(0, *floors) if floors else 0)
-    prows = []
-    for i in range(rows):
-        prow = []
-        for j in range(cols):
-            shifted = vals[i][j].shift(-col_scale[j])
-            prow.append(shifted.poly_part())
-        prows.append(prow)
-    return PolyMat(prows, col_scale), s
-
-
-def load_matrix_file(path, field=None):
-    with open(path, encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read(), field)

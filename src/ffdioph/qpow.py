@@ -105,12 +105,6 @@ class QPow:
             return hash(self.c * Fraction(self.q) ** self.e.numerator)
         return hash((self.q, self.c, self.e))
 
-    def as_rational(self):
-        """The exact rational value, when the exponent is integral."""
-        if self.e.denominator != 1:
-            raise ValueError("irrational q-power")
-        return self.c * Fraction(self.q) ** self.e.numerator
-
     def as_json_dict(self):
         return {
             "coeff": f"{self.c.numerator}/{self.c.denominator}",

@@ -114,6 +114,8 @@ class SetFamilyConfig:
         object.__setattr__(self, "omega", Fraction(self.omega))
         if self.omega <= 1:
             raise ValueError("omega must exceed 1")
+        if self.t < 1:
+            raise ValueError("the horizon t must be >= 1")
         if self.V.radius_exp + 1 > 0:
             raise ValueError("5V must stay inside the unit ball")
         if self.alpha0_r is not None:
@@ -466,6 +468,12 @@ def _fmt(value, infinite):
     return f"{value.numerator}/{value.denominator}"
 
 
+def _tolerance(tau_max):
+    if tau_max < 1:
+        raise ValueError("tau_max must be >= 1")
+    return Fraction(1, tau_max)
+
+
 def check_bz(X, theta, tau_max=20):
     """One-sided check of the two uniform/ordinary transference bounds.
 
@@ -473,7 +481,7 @@ def check_bz(X, theta, tau_max=20):
     right, compared at tolerance 1/tau_max; precision flags make the
     verdict inconclusive rather than wrong.
     """
-    tol = Fraction(1, tau_max)
+    tol = _tolerance(tau_max)
     _, est = _estimates(X, theta, tau_max)
     Xt = X.transpose()
     _, est_t = _estimates(Xt, None, tau_max)
@@ -538,7 +546,7 @@ def check_dyson(y, tau_max=20):
     "gt_one" (or flagged); the biconditional fails only on a firm
     disagreement.
     """
-    tol = Fraction(1, tau_max)
+    tol = _tolerance(tau_max)
     entries = tuple(y) if not isinstance(y, LaurentVec) else tuple(y.entries)
     row = LaurentMat([entries])
     col = LaurentMat([[e] for e in entries])

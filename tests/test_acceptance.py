@@ -176,7 +176,7 @@ def test_criterion_5_extremality_monte_carlo():
         for theta in ("0", "T^-1 + T^-5"):
             cfg = ExperimentConfig(
                 q=2, modulus=None, map_spec=f"veronese:{n}",
-                theta=theta, d=1, tau_max=20, precision=0, depth=60,
+                theta=theta, tau_max=20, precision=0, depth=60,
                 samples=200, seed=4242, format="json",
             )
             rep = run_extremal(cfg)

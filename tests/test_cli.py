@@ -6,9 +6,11 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ffdioph.cli import main
 
@@ -77,6 +79,14 @@ class TestExponent:
         assert code == 0
         doc = json.loads(out)
         assert (doc["m"], doc["n"]) == (1, 2)
+
+    def test_matrix_file_field(self, tmp_path):
+        # a file that names its field runs under the matching --q
+        path = tmp_path / "Y.txt"
+        path.write_text("q=3 rows=1 cols=1\n2*T^-1 + T^-3 + O(T^-30)\n")
+        code, _ = run_cli(["exponent", "--q", "3", "--Y", str(path),
+                           "--tau-max", "4"])
+        assert code == 0
 
     @pytest.mark.parametrize("text, problem", [
         # header promises two forms, file holds one
@@ -302,6 +312,26 @@ class TestExtremal:
         assert code == 0
         assert out.splitlines()[0] == "sample,tau,L,ratio,exact,included"
 
+    def test_map_loaded_once(self, tmp_path, monkeypatch):
+        import ffdioph.experiments as experiments
+
+        calls = []
+        original = experiments.load_map
+
+        def counting(spec, field):
+            calls.append(spec)
+            return original(spec, field)
+
+        monkeypatch.setattr(experiments, "load_map", counting)
+        path = tmp_path / "cfg.txt"
+        path.write_text("map=veronese:2\ntau_max=4\ndepth=12\n"
+                        "samples=2\nseed=7\n")
+        for fmt in ("json", "csv"):
+            calls.clear()
+            code, _ = run_cli(["extremal", "--config", str(path),
+                               "--format", fmt])
+            assert code == 0 and calls == ["veronese:2"]
+
 
 class TestGolden:
     """Stdout digests and exit codes recorded before the cell-grid refactor.
@@ -347,7 +377,8 @@ class TestInputErrors:
         ["transfer", "intersection", "--omega", "5/0", "-N", "4"],
         ["transfer", "contraction", "--C", "1/0", "--alpha0", "1",
          "-N", "4"],
-    ], ids=["alpha", "claimed-C", "omega", "C"])
+        ["cfrac", "--y", "1/0"],
+    ], ids=["alpha", "claimed-C", "omega", "C", "cfrac-y"])
     def test_zero_denominator(self, capsys, argv):
         code, out = run_cli(argv)
         assert code == 2 and out == ""
@@ -378,6 +409,64 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, files, problem", [
+        (["transfer", "intersection", "--t", "-1", "-N", "3"], {}, "t must"),
+        (["transfer", "intersection", "--t", "1,0", "-N", "3"], {}, "t must"),
+        (["transfer", "bz", "--y", "T^-1;T^-2", "--tau-max", "0"], {},
+         "tau_max"),
+        (["transfer", "dyson", "--y", "T^-1;T^-2", "--tau-max", "0"], {},
+         "tau_max"),
+        # the file's field is F_3, the command's F_2
+        (["exponent", "--Y", "{Y.txt}", "--tau-max", "4"],
+         {"Y.txt": "q=3 rows=1 cols=1\n2*T^-1 + O(T^-20)\n"}, "q=3"),
+        (["goodcheck", "--map", "veronese:0", "--alpha", "1", "-N", "4"],
+         {}, "component"),
+        (["goodcheck", "--map", "{map.json}", "--alpha", "1", "-N", "4"],
+         {"map.json": '{"d": 0, "components": [[]]}'}, "d >= 1"),
+        (["goodcheck", "--map", "{map.json}", "--alpha", "1", "-N", "4"],
+         {"map.json": '{"d": 1, "components": []}'}, "component"),
+        (["goodcheck", "--map", "{map.json}", "--alpha", "1", "-N", "4"],
+         {"map.json": '{"d": 1, "components": [[{"exps": [-1], '
+                      '"coeff": "1"}]]}'}, "nonnegative"),
+        (["goodcheck", "--map", "{map.json}", "--alpha", "1", "-N", "4"],
+         {"map.json": '{"d": 1, "components": [[{"exps": [1, 1], '
+                      '"coeff": "1"}]]}'}, "1 nonnegative"),
+        (["goodcheck", "--map", "{map.json}", "--alpha", "1", "-N", "4"],
+         {"map.json": '{"d": 1, "components": [[{"exps": 1, '
+                      '"coeff": "1"}]]}'}, "map file needs"),
+        (["goodcheck", "--map", "{map.json}", "--alpha", "1", "-N", "4"],
+         {"map.json": '{"d": 1, "components": [[{"exps": [1], '
+                      '"coeff": 1}]]}'}, "map file needs"),
+        (["goodcheck", "--map", "{map.json}", "--alpha", "1", "-N", "4"],
+         {"map.json": "[]"}, "map file needs"),
+        (["extremal", "--config", "{run.cfg}"],
+         {"run.cfg": "sample=2\nseed=1\n"}, "unknown config key 'sample'"),
+        (["extremal", "--config", "{run.cfg}"],
+         {"run.cfg": "d=1\nseed=1\n"}, "unknown config key 'd'"),
+        (["extremal", "--config", "{run.cfg}"],
+         {"run.cfg": "n=2\nseed=1\n"}, "unknown config key 'n'"),
+        (["extremal", "--config", "{run.cfg}"],
+         {"run.cfg": "seed=1\nseed=2\n"}, "given twice"),
+        (["extremal", "--config", "{run.cfg}"],
+         {"run.cfg": "seed=1\nsamples\n"}, "line 2"),
+        (["extremal", "--config", "{run.cfg}"],
+         {"run.cfg": "samples=1\n"}, "seed"),
+    ], ids=["t-negative", "t-zero", "bz-tau-max", "dyson-tau-max",
+            "matrix-q", "veronese-0", "map-d0", "map-empty", "map-exp-neg",
+            "map-exp-len", "map-exps-type", "map-coeff-type", "map-list",
+            "config-unknown", "config-d", "config-n", "config-twice",
+            "config-no-equals", "config-no-seed"])
+    def test_refused_input(self, tmp_path, capsys, argv, files, problem):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a[1:-1]) if a[1:-1] in files else a
+                for a in argv]
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert problem in err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
@@ -395,3 +484,122 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run_cli(
             ["cfrac", "--q", "2", "--y", "(T^2+1)/T"])[1]
+
+
+# -- fuzz ---------------------------------------------------------------------
+
+# Literal pieces; numbers carry a leading space so that neighbours never
+# glue into a huge exponent.
+_PIECES = ("T", "T^-1", "T^-3", "T^2", " 0", " 1", " 2", " + ", "O(T^-6)",
+           "*", " [1,0]", "/", "(", ")", "zz", "^", "-", ";")
+_literal = st.lists(st.sampled_from(_PIECES), max_size=6).map("".join)
+_fraction = st.sampled_from(("1", "1/2", "2/3", "0", "-1", "1/0", "x", "3"))
+_small = st.integers(-2, 3)
+_field = st.sampled_from(("2", "3", "9", "4", "0", "1", "-3", "6"))
+_leaf = st.one_of(st.integers(-2, 3), st.none(), st.booleans(),
+                  st.sampled_from(("1", "T", "T + 1", "zz", "T^-1", "0")))
+_monomial = st.one_of(_leaf, st.fixed_dictionaries({
+    "exps": st.one_of(_leaf, st.lists(st.integers(-1, 3), max_size=3)),
+    "coeff": _leaf,
+}))
+_map_doc = st.one_of(_leaf, st.fixed_dictionaries({
+    "d": _leaf,
+    "components": st.one_of(_leaf, st.lists(
+        st.one_of(_leaf, st.lists(_monomial, max_size=3)), max_size=3)),
+}))
+_map_text = st.one_of(_map_doc.map(json.dumps), st.just("{"))
+_map_spec = st.one_of(st.sampled_from(("veronese:0", "veronese:-1",
+                                       "veronese:x", "veronese:1",
+                                       "veronese:2")),
+                      st.just("{map.json}"))
+
+
+def _table(head):
+    rows = st.lists(st.lists(_literal, min_size=1, max_size=3)
+                    .map("|".join), max_size=3)
+    header = st.lists(st.sampled_from(head), max_size=5).map(" ".join)
+    return st.builds(lambda h, r: "\n".join([h] + r) + "\n", header, rows)
+
+
+_matrix_text = _table(("q=2", "q=3", "rows=1", "rows=2", "rows=0", "cols=1",
+                       "cols=2", "cols=x", "shift=0,0", "junk"))
+_instance_text = _table(("q=2", "q=3", "q=6", "m=1", "m=2", "m=0", "n=1",
+                         "n=2", "t=1,1", "t=2,2", "t=1,1,2", "t=x",
+                         "t=-1,1"))
+_config_line = st.sampled_from((
+    "q=2", "q=3", "q=0", "modulus=1,1,1", "map=veronese:1", "map=veronese:0",
+    "map={map.json}", "map=3", "n=2", "d=1", "d=0", "sample=2", "samples=1",
+    "samples=0", "seed=1", "seed=x", "tau_max=2", "tau_max=3", "tau_max=0",
+    "depth=5", "depth=0", "precision=-3", "theta=0", "theta=T^-1",
+    "format=csv", "format=xml", "no equals sign", "# comment", "",
+))
+
+
+def _config(lines):
+    # unset keys get a seed and cheap sizes, never the costly defaults
+    keys = {ln.partition("=")[0] for ln in lines}
+    cheap = [f"{k}={v}" for k, v in (("samples", 1), ("tau_max", 2),
+                                     ("depth", 4), ("seed", 1))
+             if k not in keys]
+    return "\n".join(lines + cheap) + "\n"
+
+
+_file_calls = st.one_of(
+    # literals go after "=", so one that starts with "-" is no option
+    st.builds(lambda y, q, k: (["cfrac", "--q", q, "--y=" + y,
+                                "--max-terms", str(k)], {}),
+              _literal, _field, _small),
+    st.builds(lambda y, th, q, k: (["exponent", "--q", q, "--Y=" + y,
+                                    "--theta=" + th, "--tau-max", str(k)],
+                                   {}),
+              _literal, _literal, _field, _small),
+    st.builds(lambda text, k: (["exponent", "--Y", "{Y.txt}",
+                                "--tau-max", str(k)], {"Y.txt": text}),
+              _matrix_text, _small),
+    st.builds(lambda text: (["dirichlet", "--instance", "{inst.txt}"],
+                            {"inst.txt": text}), _instance_text),
+    st.builds(lambda spec, doc, a, N, r: (
+        ["goodcheck", "--map", spec, "--alpha", a, "-N", str(N),
+         "--ball-radius", str(r)], {"map.json": doc}),
+        _map_spec, _map_text, _fraction, _small, st.integers(-2, 1)),
+    st.builds(lambda kind, y, k, n, r: (
+        ["transfer", kind, "--y=" + y, "--tau-max", str(k), "--n", str(n),
+         "--random", str(r), "--seed", "1"], {}),
+        st.sampled_from(("bz", "dyson")), _literal, _small, _small,
+        st.integers(0, 1)),
+    st.builds(lambda kind, spec, doc, t, w, N: (
+        ["transfer", kind, "--map", spec, "--t", t, "--omega", w,
+         "-N", str(N), "--theta", "T^-1"], {"map.json": doc}),
+        st.sampled_from(("intersection", "contraction")), _map_spec,
+        _map_text, st.sampled_from(("1", "-1", "0", "1,2", "x", "")),
+        _fraction, _small),
+    st.builds(lambda lines, doc: (["extremal", "--config", "{run.cfg}"],
+                                  {"run.cfg": _config(lines),
+                                   "map.json": doc}),
+              st.lists(_config_line, max_size=5), _map_text),
+)
+
+
+class TestFuzz:
+    """Any drawn input exits 0, 1 or 2; exit 2 prints exactly one line."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(call=_file_calls)
+    def test_no_traceback(self, tmp_path_factory, call):
+        argv, files = call
+        where = tmp_path_factory.mktemp("fuzz")
+
+        def fill(text):
+            for name in files:
+                text = text.replace("{" + name + "}", str(where / name))
+            return text
+
+        for name, text in files.items():
+            (where / name).write_text(fill(text))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([fill(a) for a in argv])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().count("\n") == 1, err.getvalue()

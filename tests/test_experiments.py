@@ -10,7 +10,7 @@ from ffdioph.experiments import (
 
 def small_config(**overrides):
     base = dict(
-        q=2, modulus=None, map_spec="veronese:2", theta="0", d=1,
+        q=2, modulus=None, map_spec="veronese:2", theta="0",
         tau_max=8, precision=0, depth=30, samples=8, seed=99,
         format="json",
     )

@@ -424,6 +424,10 @@ class TestRawKernel:
         theta = data.draw(laurents(field))
         omega = data.draw(st.sampled_from(
             (Fraction(2), Fraction(5, 2), Fraction(3))))
+        if t < 1:
+            with pytest.raises(ValueError, match="horizon"):
+                SetFamilyConfig(f, V, theta, omega, t, N)
+            return
         cfg = SetFamilyConfig(f, V, theta, omega, t, N)
         try:
             expect = reference_alphas(cfg)

@@ -15,15 +15,14 @@ from ffdioph import (
 )
 from ffdioph.algebra.degree import NEG_INF
 from ffdioph.errors import RankDeficient
+from ffdioph.formats import parse_matrix_text, write_matrix_file
 from ffdioph.polylattice import (
     PolyMat,
     Shift,
     closest_vector,
-    parse_matrix_text,
     shortest_vector,
     successive_minima,
     weak_popov,
-    write_matrix_file,
 )
 
 

@@ -58,10 +58,11 @@ class TestEnum:
         qs = list(_iter_q_vectors(cfg))
         assert len(qs) == 15  # 2**((t+1)*n) - 1
 
-    def test_t0_single_unit_q(self, F2):
-        cfg = small_cfg(F2, n=1, t=0, N=6)
-        alphas = enum_alphas(cfg)
-        assert all(a.q[0] == Poly.one(F2) for a in alphas)
+    def test_t0_refused(self, F2):
+        # a horizon below 1 has no alphas to check, so a pass is vacuous
+        for t in (0, -1):
+            with pytest.raises(ValueError, match="horizon"):
+                small_cfg(F2, n=1, t=t, N=6)
 
     def test_ultrametric_exclusion(self, F2):
         # every enumerated p is a polynomial part of f*q + theta, so its
