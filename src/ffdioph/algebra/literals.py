@@ -42,12 +42,13 @@ def _tokenize(text):
             raise LiteralSyntaxError(
                 f"unexpected character {m.group('other')!r}", m.start("other")
             )
+        # a token's position is its first character, past the whitespace
         if kind == "bigoh":
-            tokens.append(("bigoh", int(m.group("odeg")), m.start()))
+            tokens.append(("bigoh", int(m.group("odeg")), m.start(kind)))
         elif kind == "odeg":
             pass
         else:
-            tokens.append((kind, m.group(kind), m.start()))
+            tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -105,6 +106,7 @@ def parse_laurent(text, field):
     tokens = _tokenize(text)
     i = 0
     digits = {}
+    placed = []  # (exponent, position) of each term with a nonzero coeff
     floor = None
     while True:
         kind, val, pos = tokens[i]
@@ -135,12 +137,16 @@ def parse_laurent(text, field):
             raise LiteralSyntaxError("expected a term", pos)
         if coeff:
             digits[expo] = field.add(digits.get(expo, 0), coeff)
+            placed.append((expo, pos))
         if tokens[i][0] == "plus":
             i += 1
             continue
         break
     if tokens[i][0] != "end":
         raise LiteralSyntaxError("trailing input", tokens[i][2])
+    for expo, pos in placed:
+        if floor is not None and expo < floor - 1:
+            raise LiteralSyntaxError("term lies below the big-oh", pos)
     digits = {d: c for d, c in digits.items() if c}
     if not digits:
         if floor is not None:

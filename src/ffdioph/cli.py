@@ -182,6 +182,8 @@ def _cmd_transfer(args):
     kind = args.kind
     if kind in ("bz", "dyson"):
         instances = []
+        if args.random < 0:
+            raise ValueError("--random must be >= 0")
         if args.random:
             if args.seed is None:
                 print("a seed is required for randomized runs",
@@ -259,8 +261,16 @@ def _cmd_extremal(args):
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach main's usage-error handler
+    instead of exiting with a usage block."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ffdioph",
         description="Exact Diophantine approximation over F_q((1/T))",
     )
@@ -336,8 +346,8 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return args.func(args)
     except FFDiophError as exc:
         print(f"error: {exc}", file=sys.stderr)

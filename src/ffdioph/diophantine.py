@@ -222,50 +222,42 @@ class CFExpansion:
         return RatFn(p, q)
 
 
+def _convergents(field, quotients):
+    """The convergents (p_k, q_k) of a quotient sequence, in order."""
+    # start from (p_{-2}, q_{-2}) = (0, 1) and (p_{-1}, q_{-1}) = (1, 0)
+    p_prev, p = Poly.zero(field), Poly.one(field)
+    q_prev, q = Poly.one(field), Poly.zero(field)
+    for a in quotients:
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield p, q
+
+
 def _cf_rational(num, den, max_terms):
     """Exact Euclidean expansion of num/den."""
     field = num.field
     quotients = []
-    p_prev, q_prev = Poly.one(field), Poly.zero(field)
-    p_cur, q_cur = None, None
     a_, b_ = num, den
     reason = "terminated"
     while len(quotients) < max_terms:
         quot, rem = divmod(a_, b_)
         quotients.append(quot)
-        if p_cur is None:
-            p_cur, q_cur = quot, Poly.one(field)
-        else:
-            p_cur, p_prev = quot * p_cur + p_prev, p_cur
-            q_cur, q_prev = quot * q_cur + q_prev, q_cur
         if rem.is_zero():
             break
         a_, b_ = b_, rem
     else:
         reason = "max_terms"
-    terminated = reason == "terminated"
-    # rebuild the convergent list for reporting
-    convs = []
-    pp, qq = Poly.one(field), Poly.zero(field)
-    pc, qc = None, None
-    for a in quotients:
-        if pc is None:
-            pc, qc = a, Poly.one(field)
-        else:
-            pc, pp = a * pc + pp, pc
-            qc, qq = a * qc + qq, qc
-        convs.append((pc, qc))
-    errs = []
-    y = RatFn(num, den)
-    for pc, qc in convs:
-        diff = RatFn(qc, Poly.one(field)) * y - RatFn(pc, Poly.one(field))
-        errs.append(diff.deg)
-    return CFExpansion(tuple(quotients), tuple(convs), terminated, reason,
-                       tuple(errs), None)
+    convs = list(_convergents(field, quotients))
+    y, one = RatFn(num, den), Poly.one(field)
+    errs = [(RatFn(qc, one) * y - RatFn(pc, one)).deg for pc, qc in convs]
+    return CFExpansion(tuple(quotients), tuple(convs), reason == "terminated",
+                       reason, tuple(errs), None)
 
 
 def cf_expand_rational(f, max_terms=64):
     """Exact continued fraction of a rational function via Euclid."""
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
     return _cf_rational(f.num, f.den, max_terms)
 
 
@@ -276,6 +268,8 @@ def cf_expand(y, max_terms=64):
     precision floor blocks resolving the next one, expansion stops with
     reason "precision" (an ambiguous fractional part is never guessed).
     """
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
     field = y.field
     if y.is_known_zero():
         return CFExpansion((Poly.zero(field),),
@@ -310,17 +304,9 @@ def cf_expand(y, max_terms=64):
     # convergents and error degrees against the original y, trimmed to
     # what the floor certifies
     convs = []
-    pp, qq = Poly.one(field), Poly.zero(field)
-    pc, qc = None, None
     errs = []
     next_q_deg = None
-    kept = []
-    for a in quotients:
-        if pc is None:
-            pc, qc = a, Poly.one(field)
-        else:
-            pc, pp = a * pc + pp, pc
-            qc, qq = a * qc + qq, qc
+    for pc, qc in _convergents(field, quotients):
         err = y * qc - Laurent.from_poly(pc)
         if err.raw:
             d = err.lead
@@ -330,14 +316,13 @@ def cf_expand(y, max_terms=64):
             # unresolved error: this convergent is not certifiable
             reason = "precision"
             break
-        kept.append(a)
         convs.append((pc, qc))
         errs.append(d)
     if errs and errs[-1] is not NEG_INF and reason != "terminated":
         next_q_deg = -errs[-1]
-    terminated = reason == "terminated" and len(kept) == len(quotients)
-    return CFExpansion(tuple(kept), tuple(convs), terminated, reason,
-                       tuple(errs), next_q_deg)
+    terminated = reason == "terminated" and len(convs) == len(quotients)
+    return CFExpansion(tuple(quotients[:len(convs)]), tuple(convs),
+                       terminated, reason, tuple(errs), next_q_deg)
 
 
 # ---------------------------------------------------------------------------

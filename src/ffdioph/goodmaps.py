@@ -104,11 +104,6 @@ class CylinderSet:
         return CylinderSet(self.field, self.N, self.d,
                            self.cells & other.cells)
 
-    def minus(self, other):
-        self._compat(other)
-        return CylinderSet(self.field, self.N, self.d,
-                           self.cells - other.cells)
-
     def _compat(self, other):
         if (self.field, self.N, self.d) != (other.field, other.N, other.d):
             raise ValueError("cylinder sets at different resolutions")
@@ -169,9 +164,6 @@ class BallSpec:
         """The exact value-group dilation: radius_exp += floor_ln(c)."""
         r = min(0, self.radius_exp + floor_ln(factor))
         return BallSpec(self.center, r)
-
-    def grow(self, steps=1):
-        return BallSpec(self.center, min(0, self.radius_exp + steps))
 
     def cells(self, N):
         """All resolution-N cells of the ball (needs N >= -radius_exp)."""
@@ -407,8 +399,8 @@ class CellGrid:
             # an uncertain cell in either table makes no threshold decidable
             if all(c for _, _, c in rows1) and all(c for _, _, c in rows2):
                 for j in range(1, self.N - 1):
-                    in1, _ = sublevel_partition(self, rows1, guard1, -j)
-                    in2, _ = sublevel_partition(self, rows2, guard2, -j)
+                    in1, _ = sublevel_partition(self.codes, rows1, guard1, -j)
+                    in2, _ = sublevel_partition(self.codes, rows2, guard2, -j)
                     ratio = QPow(field.q,
                                  Fraction(len(in1 & in2), base.ball_cells),
                                  alpha_r * (j + sup_deg))
@@ -456,7 +448,7 @@ class CellGrid:
         c_min = QPow(q, 0)
         violations = []
         for j in range(1, max(2, self.N - slack + 1)):
-            inside, amb_j = sublevel_partition(self, rows, guard, -j)
+            inside, amb_j = sublevel_partition(self.codes, rows, guard, -j)
             # ratio = (n_in/n_ball) * q**(alpha_r * (j + sup))
             ratio = QPow(q, Fraction(len(inside), n_ball),
                          alpha_r * (j + sup))
@@ -554,16 +546,18 @@ def combo_degree_table(grid, base, coeffs):
     return rows, guard
 
 
-def sublevel_partition(grid, rows, guard, thresh):
-    """(inside, ambiguous) cell-code sets of {deg <= thresh} on a grid.
+def sublevel_partition(codes, rows, guard, thresh):
+    """(inside, ambiguous) cell-code sets of {deg <= thresh}.
 
-    A certain cell is inside when its degree is at most thresh.  An
-    uncertain cell is inside when the guard is, unless its center value
-    is an inexact zero; every other uncertain cell is ambiguous.
+    rows[i] = (value, degree, certain) on the cell codes[i], classified
+    under guard as in combo_degree_table.  A certain cell is inside when
+    its degree is at most thresh.  An uncertain cell is inside when the
+    guard is, unless its center value is an inexact zero; every other
+    uncertain cell is ambiguous.
     """
     inside = set()
     ambiguous = set()
-    for code, (_, dgr, certain) in zip(grid.codes, rows):
+    for code, (_, dgr, certain) in zip(codes, rows):
         if certain:
             if dgr is NEG_INF or dgr <= thresh:
                 inside.add(code)
@@ -690,6 +684,8 @@ def nonplanarity_check(f, ball, N, trials=64, seed=0):
     finding one in `trials` samples refutes nothing and is reported as
     such.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     field = f.field
     cs = ball.cells(N)
     codes = sorted(cs.cells)

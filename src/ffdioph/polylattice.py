@@ -111,14 +111,13 @@ class ReducedBasis:
     taken with the effective shift (user shift + column scaling).
     """
 
-    __slots__ = ("matrix", "transform", "pivots", "shift", "source")
+    __slots__ = ("matrix", "transform", "pivots", "shift")
 
-    def __init__(self, matrix, transform, pivots, shift, source):
+    def __init__(self, matrix, transform, pivots, shift):
         self.matrix = matrix
         self.transform = transform
         self.pivots = tuple(pivots)
         self.shift = shift
-        self.source = source
 
     @property
     def field(self):
@@ -258,7 +257,7 @@ def weak_popov(M, s=None):
     pivots, _ = _reduce_raw(ops, M.field, rows, seff, u_rows)
     R = PolyMat.from_raw(M.field, rows, M.col_scale)
     U = PolyMat.from_raw(M.field, u_rows)
-    return ReducedBasis(R, U, pivots, s, M)
+    return ReducedBasis(R, U, pivots, s)
 
 
 def successive_minima(rb):

@@ -20,9 +20,12 @@ with exact measures, the two hypotheses that argument needs:
 Thresholds realize |.| < e**(-x) as deg <= -floor(x)-1, exact in the
 discrete value group.  Cell values come from the config's
 goodmaps.CellGrid as raw digits with a known floor, and membership from
-goodmaps' one guard rule and sublevel partition; enum_alphas splits
-those raw values at degree 0 into the polynomial part that p cancels
-and the fractional part it classifies.  Ambiguous cells (below the
+goodmaps' one guard rule and sublevel partition.  One pass over q
+yields the alphas and their I-sets together: each q's values are split
+at degree 0 into the polynomial part that p cancels and the fractional
+part that the partition classifies, so the checks reuse those sets and
+build only the H-sets afresh.  The intersection check visits only the
+pairs that share a certainly-in cell.  Ambiguous cells (below the
 Lipschitz guard, or whose value is an inexact zero, as an inexact theta
 can leave) are excluded from both sides of every inclusion and counted,
 never guessed.
@@ -41,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Optional
 
 from .algebra.degree import NEG_INF
@@ -149,7 +153,7 @@ def _member_sets(cfg, p, q, thresh, inhomogeneous):
         base = base + cfg.theta
     rows, guard = combo_degree_table(
         cfg.grid, base, [Laurent.from_poly(c) for c in q])
-    return sublevel_partition(cfg.grid, rows, guard, thresh)
+    return sublevel_partition(cfg.grid.codes, rows, guard, thresh)
 
 
 def build_I_set(cfg, alpha, omega=None):
@@ -167,45 +171,46 @@ def build_H_set(cfg, alpha, omega=None):
 
 
 def _iter_q_vectors(cfg):
-    field = cfg.field
-    n = cfg.n
-    per = field.q ** (cfg.t + 1)
-    total = per**n
-    for code in range(1, total):
-        qs = []
-        c = code
-        for _ in range(n):
-            w = c % per
-            c //= per
-            coeffs = []
-            for _ in range(cfg.t + 1):
-                coeffs.append(w % field.q)
-                w //= field.q
-            qs.append(Poly(field, coeffs))
-        yield tuple(qs)
+    """Nonzero q-vectors of degree <= t, by code: coefficient j of q_k
+    is base-q digit k*(t+1) + j."""
+    width = cfg.t + 1
+    digits = product(range(cfg.field.q), repeat=cfg.n * width)
+    next(digits)  # the zero vector
+    for code in digits:
+        low = code[::-1]
+        yield tuple(Poly(cfg.field, low[k:k + width])
+                    for k in range(0, len(low), width))
 
 
-def enum_alphas(cfg):
-    """All alpha with possibly nonempty I_t(alpha, psi_omega(t)).
+def _alpha_sets(cfg, thresholds):
+    """Candidate alphas with their I-sets, from one pass over q.
 
-    For a cell to meet the sublevel set, p must cancel the polynomial
-    part of f(x).q + theta there (anything else leaves |F| >= 1), so
-    scanning cells yields the complete candidate list; candidates whose
-    fractional part certainly misses the threshold everywhere are
-    dropped, and those whose fractional part is an inexact zero kept.
+    Returns (alpha, parts) pairs, parts[k] being the (certainly-in,
+    ambiguous) cells of I_t(alpha) at thresholds[k].  p must cancel a
+    cell's polynomial part for it to meet a sublevel set (anything else
+    leaves |F| >= 1), so each q's cells are grouped by that p and each
+    group's fractional degrees go through sublevel_partition.  A group
+    is a candidate when its partition at thresholds[0] is nonempty;
+    candidates come by q, then by their first kept cell.
+
+    A cell of another group p' holds p - p' plus a fraction: certainly
+    outside unless guard >= deg(p - p'), and then ambiguous.  So where
+    guard >= 0 an alpha whose p is at no cell centre can still have
+    ambiguous cells, and is not listed: the list is complete only where
+    guard < 0.
     """
     field = cfg.field
     if field.q ** ((cfg.n + 1) * (cfg.t + 1)) > ENUM_BUDGET:
         raise BudgetExceeded("alpha enumeration exceeds the budget")
-    thresh = cfg.threshold()
     ops = cfg.f.ops
-    out = []
-    seen = set()
+    codes = cfg.grid.codes
     theta = cfg.theta if cfg.theta is not None else Laurent.zero(field)
+    out = []
     for q in _iter_q_vectors(cfg):
         rows, guard = combo_degree_table(
             cfg.grid, theta, [Laurent.from_poly(c) for c in q])
-        for (raw, floor, exact), _, _ in rows:
+        groups = {}
+        for code, ((raw, floor, exact), _, _) in zip(codes, rows):
             # split raw * T**floor at degree 0: p cancels the digits at
             # degrees >= 0, and the rest is the fractional part
             if not exact and floor > 0:
@@ -221,14 +226,39 @@ def enum_alphas(cfg):
                 d = floor + ops.deg(frac)
             else:
                 d = NEG_INF if exact else None
-            if degree_class(d, guard) and d is not NEG_INF and d > thresh:
+            gcodes, grows = groups.setdefault(ops.neg(poly), ([], []))
+            gcodes.append(code)
+            grows.append(((frac, floor, exact), d, degree_class(d, guard)))
+        near = {}
+        if guard is not NEG_INF and guard >= 0:
+            # p and p' agree above the guard exactly when deg(p - p')
+            # <= guard
+            for p, (gcodes, _) in groups.items():
+                near.setdefault(ops.drop(p, guard + 1), set()).update(gcodes)
+        found = []
+        for p, (gcodes, grows) in groups.items():
+            parts = [sublevel_partition(gcodes, grows, guard, thresh)
+                     for thresh in thresholds]
+            inside, fuzzy = parts[0]
+            if not (inside or fuzzy):
                 continue
-            p = ops.neg(poly)
-            key = (p, tuple(c.raw for c in q))
-            if key not in seen:
-                seen.add(key)
-                out.append(AlphaIndex(Poly._wrap(field, p), q))
+            if near:
+                others = near[ops.drop(p, guard + 1)].difference(gcodes)
+                parts = [(ins, fz | others) for ins, fz in parts]
+            found.append((min(inside | fuzzy),
+                          AlphaIndex(Poly._wrap(field, p), q), tuple(parts)))
+        found.sort(key=lambda item: item[0])
+        out.extend((alpha, parts) for _, alpha, parts in found)
     return out
+
+
+def enum_alphas(cfg):
+    """All alpha with possibly nonempty I_t(alpha, psi_omega(t)).
+
+    The alphas of one _alpha_sets pass, which yields their I-sets too;
+    complete only where the guard is negative.
+    """
+    return [alpha for alpha, _ in _alpha_sets(cfg, (cfg.threshold(),))]
 
 
 @dataclass(frozen=True)
@@ -270,36 +300,36 @@ class PropertyReport:
 def verify_intersection(cfg):
     """Cellwise check of I(a) meet I(a') inside H(a - a'), all pairs.
 
-    Pairs sharing q have provably empty intersections (the ultrametric
-    would force p = p'), asserted as the degenerate branch.
+    Only pairs whose I-sets share a certainly-in cell can fail, so the
+    alphas are bucketed by those cells and only pairs sharing a bucket
+    are visited, in (i, j) order; every one of the A(A-1)/2 pairs counts
+    as tested.  Pairs sharing q have provably empty intersections (the
+    ultrametric would force p = p'), asserted as the degenerate branch.
     """
-    alphas = enum_alphas(cfg)
     thresh = cfg.threshold()
-    isets = []
+    isets = _alpha_sets(cfg, (thresh,))
     ambiguous = 0
-    for a in alphas:
-        inside, fuzzy = _member_sets(cfg, a.p, a.q, thresh, True)
-        isets.append((a, inside, fuzzy))
+    buckets = {}
+    for i, (_, ((inside, fuzzy),)) in enumerate(isets):
         ambiguous += len(fuzzy)
+        for code in inside:
+            buckets.setdefault(code, []).append(i)
+    if sum(len(b) ** 2 for b in buckets.values()) > ENUM_BUDGET:
+        raise BudgetExceeded("intersection pairing exceeds the budget")
+    partners = [set() for _ in isets]
+    for bucket in buckets.values():
+        for k, i in enumerate(bucket):
+            partners[i].update(bucket[k + 1:])
     violations = []
-    tested = 0
     hcache = {}
-    for i in range(len(isets)):
-        a, ina, fza = isets[i]
-        for j in range(i + 1, len(isets)):
-            b, inb, fzb = isets[j]
-            tested += 1
+    for i, (a, ((ina, fza),)) in enumerate(isets):
+        for j in sorted(partners[i]):
+            b, ((inb, fzb),) = isets[j]
             common = ina & inb
             qdiff = tuple(x - y for x, y in zip(a.q, b.q))
             if all(c.is_zero() for c in qdiff):
-                if common:
-                    violations.append({
-                        "pair": (i, j),
-                        "kind": "degenerate_nonempty",
-                        "cells": sorted(common),
-                    })
-                continue
-            if not common:
+                violations.append({"pair": (i, j), "cells": sorted(common),
+                                   "kind": "degenerate_nonempty"})
                 continue
             key = ((a.p - b.p).raw, tuple(c.raw for c in qdiff))
             if key not in hcache:
@@ -308,17 +338,15 @@ def verify_intersection(cfg):
             hin, hfz = hcache[key]
             bad = common - hin - hfz - fza - fzb
             if bad:
-                violations.append({
-                    "pair": (i, j),
-                    "kind": "inclusion_failure",
-                    "cells": sorted(bad),
-                })
+                violations.append({"pair": (i, j), "cells": sorted(bad),
+                                   "kind": "inclusion_failure"})
+    A = len(isets)
     return PropertyReport(
         kind="intersection",
-        tested=tested,
+        tested=A * (A - 1) // 2,
         violations=tuple(violations),
         ambiguous_cells=ambiguous,
-        details={"alphas": len(alphas), "t": cfg.t, "N": cfg.N,
+        details={"alphas": A, "t": cfg.t, "N": cfg.N,
                  "omega": cfg.omega},
     )
 
@@ -351,10 +379,9 @@ def verify_contraction(cfg):
     if cfg.good_C is None or cfg.alpha0_r is None:
         raise ValueError("contraction needs the measured (C, alpha_0)")
     field = cfg.field
-    alphas = enum_alphas(cfg)
-    omega_plus = (cfg.omega + 1) / 2
     thr_low = cfg.threshold()
-    thr_high = cfg.threshold(omega_plus)
+    thr_high = cfg.threshold((cfg.omega + 1) / 2)
+    alphas = _alpha_sets(cfg, (thr_low, thr_high))
     total_cells = Fraction(1, field.q ** (cfg.N * cfg.f.d))
     kt = (QPow(field.q, 1, cfg.f.d) * cfg.good_C
           * QPow(field.q, 1, -cfg.alpha0_r * cfg.n * cfg.t
@@ -363,9 +390,8 @@ def verify_contraction(cfg):
     violations = []
     ambiguous = 0
     subset_failures = []
-    for idx, a in enumerate(alphas):
-        in_low, fz_low = _member_sets(cfg, a.p, a.q, thr_low, True)
-        in_high, fz_high = _member_sets(cfg, a.p, a.q, thr_high, True)
+    for idx, (_, parts) in enumerate(alphas):
+        (in_low, fz_low), (in_high, fz_high) = parts
         ambiguous += len(fz_low) + len(fz_high)
         if len(in_high | fz_high) == len(cfg.grid.codes):
             subset_failures.append(idx)
@@ -474,6 +500,22 @@ def _tolerance(tau_max):
     return Fraction(1, tau_max)
 
 
+def _trivial_check(name, est, tol):
+    """The trivial inequality omega >= omega-hat on one profile."""
+    if est.omega_lower_infinite:
+        status = "holds"
+    elif est.omega_hat_infinite:
+        status = "violated"  # finite omega below an infinite omega-hat
+    elif est.omega_hat_window is None or est.omega_lower is None:
+        status = "inconclusive"
+    else:
+        status = ("holds" if est.omega_lower >= est.omega_hat_window - tol
+                  else "violated")
+    return InequalityCheck(name, status,
+                           _fmt(est.omega_lower, est.omega_lower_infinite),
+                           _fmt(est.omega_hat_window, est.omega_hat_infinite))
+
+
 def check_bz(X, theta, tau_max=20):
     """One-sided check of the two uniform/ordinary transference bounds.
 
@@ -521,21 +563,7 @@ def check_bz(X, theta, tau_max=20):
         _fmt(est.omega_hat_window, est.omega_hat_infinite),
         _fmt(est_t.omega_lower, est_t.omega_lower_infinite)))
 
-    # trivial inequality on the same profile: omega >= omega_hat
-    if est.omega_lower_infinite:
-        status = "holds"
-    elif est.omega_hat_infinite:
-        status = "violated"  # finite omega below an infinite omega-hat
-    elif est.omega_hat_window is None or est.omega_lower is None:
-        status = "inconclusive"
-    else:
-        status = ("holds"
-                  if est.omega_lower >= est.omega_hat_window - tol
-                  else "violated")
-    checks.append(InequalityCheck(
-        "omega_ge_omega_hat", status,
-        _fmt(est.omega_lower, est.omega_lower_infinite),
-        _fmt(est.omega_hat_window, est.omega_hat_infinite)))
+    checks.append(_trivial_check("omega_ge_omega_hat", est, tol))
     return checks
 
 
@@ -575,17 +603,5 @@ def check_dyson(y, tau_max=20):
         f"col:{scol}:{_fmt(est_col.omega_lower, est_col.omega_lower_infinite)}",
     )]
     for name, est in (("row", est_row), ("col", est_col)):
-        if est.omega_lower_infinite:
-            st = "holds"
-        elif est.omega_hat_infinite:
-            st = "violated"
-        elif est.omega_hat_window is None or est.omega_lower is None:
-            st = "inconclusive"
-        else:
-            st = ("holds" if est.omega_lower >= est.omega_hat_window - tol
-                  else "violated")
-        checks.append(InequalityCheck(
-            f"omega_ge_omega_hat_{name}", st,
-            _fmt(est.omega_lower, est.omega_lower_infinite),
-            _fmt(est.omega_hat_window, est.omega_hat_infinite)))
+        checks.append(_trivial_check(f"omega_ge_omega_hat_{name}", est, tol))
     return checks

@@ -298,6 +298,20 @@ class TestLiterals:
             parse_laurent("T^2 + @", F2)
         assert err.value.position == 6
 
+    @pytest.mark.parametrize("text, position", [
+        ("T^-11 + O(T^-3)", 0),
+        ("T + T^-11 + O(T^-3)", 4),
+        ("T^-2 + 1*T^-5 + O(T^-4)", 7),
+    ])
+    def test_term_below_big_oh(self, F2, text, position):
+        with pytest.raises(LiteralSyntaxError) as err:
+            parse_laurent(text, F2)
+        assert err.value.position == position
+
+    def test_term_at_big_oh_absorbed(self, F2):
+        assert parse_laurent("T^-1 + T^-3 + O(T^-3)", F2) == \
+            parse_laurent("T^-1 + O(T^-3)", F2)
+
     def test_roundtrip_canonical(self, F2, F9):
         rng = seeded(13)
         for F in (F2, F9):

@@ -356,15 +356,38 @@ class TestGolden:
 
 
 class TestUsage:
-    def test_unknown_command_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["bogus"])
-        assert exc.value.code == 2
+    """Parser errors keep the contract: exit 2, one line on stderr."""
 
-    def test_missing_required_exits_2(self):
+    @staticmethod
+    def refused(capsys, argv):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_unknown_command_exits_2(self, capsys):
+        assert "invalid choice" in self.refused(capsys, ["bogus"])
+
+    def test_missing_required_exits_2(self, capsys):
+        assert "--y" in self.refused(capsys, ["cfrac"])
+
+    @pytest.mark.parametrize("argv", [
+        ["cfrac", "--y"],
+        ["transfer", "bz", "--y", "-T^-2"],
+        ["cfrac", "--y", "T^-1", "--max-terms", "x"],
+        ["transfer", "bogus"],
+        ["cfrac", "--y", "T^-1", "--extra"],
+    ], ids=["missing-value", "dash-value", "bad-int", "bad-choice",
+            "unknown-option"])
+    def test_parser_error_one_line(self, capsys, argv):
+        self.refused(capsys, argv)
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["cfrac"])
-        assert exc.value.code == 2
+            main(["cfrac", "--help"])
+        assert exc.value.code == 0
+        assert "--max-terms" in capsys.readouterr().out
 
 
 class TestInputErrors:
@@ -451,11 +474,21 @@ class TestInputErrors:
          {"run.cfg": "seed=1\nsamples\n"}, "line 2"),
         (["extremal", "--config", "{run.cfg}"],
          {"run.cfg": "samples=1\n"}, "seed"),
+        (["transfer", "bz", "--random", "-1", "--seed", "1"], {},
+         "--random"),
+        (["cfrac", "--y", "T^-1", "--max-terms", "-1"], {}, "max_terms"),
+        (["cfrac", "--y", "T^-1", "--max-terms", "0"], {}, "max_terms"),
+        (["cfrac", "--y", "(T+1)/T^2", "--max-terms", "0"], {},
+         "max_terms"),
+        (["goodcheck", "--map", "veronese:2", "--alpha", "1", "-N", "4",
+          "--nonplanarity-trials", "-1", "--seed", "1"], {}, "trials"),
     ], ids=["t-negative", "t-zero", "bz-tau-max", "dyson-tau-max",
             "matrix-q", "veronese-0", "map-d0", "map-empty", "map-exp-neg",
             "map-exp-len", "map-exps-type", "map-coeff-type", "map-list",
             "config-unknown", "config-d", "config-n", "config-twice",
-            "config-no-equals", "config-no-seed"])
+            "config-no-equals", "config-no-seed", "random-negative",
+            "max-terms-negative", "max-terms-zero", "max-terms-zero-ratfn",
+            "trials-negative"])
     def test_refused_input(self, tmp_path, capsys, argv, files, problem):
         for name, text in files.items():
             (tmp_path / name).write_text(text)

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import quadratic_point, random_laurent, seeded
 from ffdioph import (
+    FieldSpec,
     Laurent,
     LaurentMat,
     LaurentVec,
@@ -13,11 +16,15 @@ from ffdioph import (
     parse_laurent,
     parse_poly,
 )
-from ffdioph.goodmaps import PolyMap, origin_ball
+from ffdioph import transference
+from ffdioph.errors import BudgetExceeded
+from ffdioph.goodmaps import PolyMap, cell_center, origin_ball
 from ffdioph.qpow import QPow
 from ffdioph.transference import (
     AlphaIndex,
+    PropertyReport,
     SetFamilyConfig,
+    _alpha_sets,
     build_H_set,
     build_I_set,
     check_bz,
@@ -164,6 +171,157 @@ class TestIntersection:
         cfg = small_cfg(F2, n=1, t=1, N=8, theta="0")
         rep = verify_intersection(cfg)
         assert rep.passed
+
+
+def per_cell_alphas(cfg):
+    """Reference for enum_alphas: scan each q's cells in code order and
+    list the p cancelling a cell's polynomial part when that cell is in
+    the I-set of (p, q), certainly or ambiguously."""
+    values = [cfg.f.eval_at(cell_center(cfg.field, code, cfg.N, cfg.f.d))
+              for code in cfg.grid.codes]
+    out = []
+    for q in transference._iter_q_vectors(cfg):
+        for code, fx in zip(cfg.grid.codes, values):
+            value = cfg.theta
+            for fk, qk in zip(fx, q):
+                value = value + fk * qk
+            alpha = AlphaIndex(-value.poly_part(), q)
+            if alpha not in out:
+                iset, fuzzy = build_I_set(cfg, alpha)
+                if code in iset.cells or code in fuzzy:
+                    out.append(alpha)
+    return out
+
+
+def all_pairs_intersection(cfg):
+    """Reference for verify_intersection: every pair, sets per alpha."""
+    alphas = enum_alphas(cfg)
+    isets = []
+    ambiguous = 0
+    for a in alphas:
+        inside, fuzzy = build_I_set(cfg, a)
+        isets.append((a, inside.cells, fuzzy))
+        ambiguous += len(fuzzy)
+    violations = []
+    tested = 0
+    for i, (a, ina, fza) in enumerate(isets):
+        for j in range(i + 1, len(isets)):
+            b, inb, fzb = isets[j]
+            tested += 1
+            common = ina & inb
+            qdiff = tuple(x - y for x, y in zip(a.q, b.q))
+            if all(c.is_zero() for c in qdiff):
+                if common:
+                    violations.append({"pair": (i, j),
+                                       "kind": "degenerate_nonempty",
+                                       "cells": sorted(common)})
+                continue
+            if not common:
+                continue
+            hset, hfz = build_H_set(cfg, AlphaIndex(a.p - b.p, qdiff))
+            bad = common - hset.cells - hfz - fza - fzb
+            if bad:
+                violations.append({"pair": (i, j),
+                                   "kind": "inclusion_failure",
+                                   "cells": sorted(bad)})
+    return PropertyReport(
+        kind="intersection", tested=tested, violations=tuple(violations),
+        ambiguous_cells=ambiguous,
+        details={"alphas": len(alphas), "t": cfg.t, "N": cfg.N,
+                 "omega": cfg.omega})
+
+
+@st.composite
+def set_family_configs(draw):
+    """Small configs: q in {2, 3}, d, n in {1, 2}, any kind of theta.
+
+    Coefficient degrees up to 3 against N <= 5 put the guard on both
+    sides of 0.  At most 256 (q-vector, cell) pairs keep the reference's
+    pair loop short.
+    """
+    q = draw(st.sampled_from((2, 3)))
+    field = FieldSpec.get(q)
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2))
+    t = draw(st.integers(1, 2)) if q ** (3 * n) <= 27 else 1
+    N = 1
+    while N < 5 and q ** (N * d + (t + 1) * n) <= 256:
+        N += 1
+    N = draw(st.integers(1, N))
+    coeff = st.lists(st.integers(0, q - 1), min_size=1, max_size=4)
+    monomial = st.tuples(st.tuples(*[st.integers(0, 3)] * d), coeff)
+    comps = tuple(
+        tuple((exps, Poly(field, c)) for exps, c in
+              draw(st.lists(monomial, min_size=1, max_size=3)))
+        for _ in range(n))
+    degs = draw(st.lists(st.integers(1, 6), max_size=3, unique=True))
+    terms = [f"T^-{k}" for k in sorted(degs)]
+    big_oh = draw(st.sampled_from((None, 3, 5, 7)))
+    if big_oh is not None:
+        terms = [x for x in terms if int(x[3:]) < big_oh]
+        terms.append(f"O(T^-{big_oh})")
+    theta = parse_laurent(" + ".join(terms) or "0", field)
+    omega = draw(st.sampled_from((Fraction(3, 2), Fraction(2),
+                                  Fraction(5, 2))))
+    return SetFamilyConfig(PolyMap(d, comps), origin_ball(field, d, -1),
+                           theta, omega, t, N)
+
+
+class TestOnePass:
+    """The one-pass I-sets and bucketed pairs against per-alpha rebuilds."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=set_family_configs())
+    def test_against_per_alpha_sets(self, cfg):
+        omega_plus = (cfg.omega + 1) / 2
+        found = _alpha_sets(cfg, (cfg.threshold(),
+                                  cfg.threshold(omega_plus)))
+        assert [a for a, _ in found] == enum_alphas(cfg) \
+            == per_cell_alphas(cfg)
+        for alpha, (low, high) in found:
+            assert low[0] or low[1]
+            for omega, (inside, fuzzy) in ((None, low), (omega_plus, high)):
+                iset, ifz = build_I_set(cfg, alpha, omega)
+                assert (iset.cells, ifz) == (inside, fuzzy)
+        assert (verify_intersection(cfg).as_json_dict()
+                == all_pairs_intersection(cfg).as_json_dict())
+
+    def test_guard_reaches_other_cells(self, F2):
+        # deg(p - p') <= guard: a cell of another group is ambiguous for
+        # p, so two alphas sharing q share ambiguous cells
+        f = PolyMap(1, ((((2,), parse_poly("T^2 + T + 1", F2)),
+                         ((3,), parse_poly("T^3 + T", F2))),))
+        cfg = SetFamilyConfig(f, origin_ball(F2, 1, -1),
+                              parse_laurent("T^-1", F2), Fraction(2), 1, 3)
+        found = _alpha_sets(cfg, (cfg.threshold(),))
+        seen = {}
+        shared = False
+        for alpha, ((inside, fuzzy),) in found:
+            iset, ifz = build_I_set(cfg, alpha)
+            assert (iset.cells, ifz) == (inside, fuzzy)
+            shared |= bool(seen.get(alpha.q, frozenset()) & fuzzy)
+            seen[alpha.q] = seen.get(alpha.q, frozenset()) | fuzzy
+        assert shared
+
+    def test_pair_budget_checked_before_pairing(self, F2, monkeypatch):
+        visits = []
+        member_sets = transference._member_sets
+
+        def spy(*args):
+            visits.append(args)
+            return member_sets(*args)
+
+        monkeypatch.setattr(transference, "_member_sets", spy)
+        cfg = small_cfg(F2, n=1, t=1, N=8)
+        verify_intersection(cfg)
+        assert visits  # some pair reaches the H-set check
+        visits.clear()
+        # 16 q-vectors fit, but the shared cells need 128 > 100 units
+        monkeypatch.setattr(transference, "ENUM_BUDGET", 100)
+        with pytest.raises(BudgetExceeded, match="pairing"):
+            verify_intersection(small_cfg(F2, n=1, t=1, N=8))
+        assert not visits
 
 
 class TestCellBall:
