@@ -10,7 +10,6 @@ from fractions import Fraction
 from ffdioph import FieldSpec, Laurent, Poly
 from ffdioph.goodmaps import (
     PolyMap,
-    cylinder_measure,
     doubling_check,
     good_constants,
     lemma_closure_check,

@@ -11,7 +11,6 @@ valuation floor that fails loudly instead of guessing.
 from .algebra import (
     NEG_INF,
     FieldSpec,
-    FqElem,
     Laurent,
     LaurentMat,
     LaurentVec,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "NEG_INF",
     "FieldSpec",
-    "FqElem",
     "Laurent",
     "LaurentMat",
     "LaurentVec",

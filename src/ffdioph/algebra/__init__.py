@@ -1,7 +1,7 @@
 """Exact arithmetic in F_q, F_q[T], F_q(T) and F_q((1/T))."""
 
 from .degree import NEG_INF
-from .field import FieldSpec, FqElem
+from .field import FieldSpec
 from .laurent import (
     Laurent,
     LaurentMat,
@@ -21,7 +21,6 @@ from .poly import Poly, RatFn, ops_for, poly_divmod, poly_gcd
 __all__ = [
     "NEG_INF",
     "FieldSpec",
-    "FqElem",
     "Laurent",
     "LaurentMat",
     "LaurentVec",

@@ -1,13 +1,11 @@
-"""Finite fields F_q, q = p**r, with constant-time raw element arithmetic.
+"""Finite fields F_q, q = p**r, with constant-time element arithmetic.
 
-Elements are carried in two layers:
-
-* raw layer -- an element is the integer  c0 + c1*p + ... + c_{r-1}*p**(r-1)
-  where (c0, ..., c_{r-1}) are its coordinates in the basis 1, u, ...,
-  u**(r-1) and u is a root of the modulus.  For prime fields this is just
-  the residue.  All polynomial/series code works on raw ints through the
-  FieldSpec methods, which are table lookups (q is at most 512).
-* FqElem -- a thin operator-overloading wrapper for user-facing code.
+An element is one int everywhere in the package: the raw value
+c0 + c1*p + ... + c_{r-1}*p**(r-1), where (c0, ..., c_{r-1}) are its
+coordinates in the basis 1, u, ..., u**(r-1) and u is a root of the
+modulus.  For prime fields this is just the residue.  Polynomial and
+series code works on these ints through the FieldSpec methods and
+tables, which are lookups (q is at most 512).
 
 FieldSpec checks primality of p and irreducibility of the modulus at
 construction (trial division by every monic polynomial of degree at most
@@ -223,29 +221,6 @@ class FieldSpec:
     def div(self, a, b):
         return self._mul[a][self.inv(b)]
 
-    # -- misc ------------------------------------------------------------
-
-    def elem(self, value):
-        """Wrap a raw value (or coordinate tuple) as an FqElem."""
-        if isinstance(value, (tuple, list)):
-            if len(value) != self.r:
-                raise ValueError(f"expected {self.r} coordinates")
-            value = self._pack(value)
-        if not 0 <= value < self.q:
-            if self.r != 1:  # only prime fields coerce
-                raise ValueError(f"raw value {value} outside [0, {self.q})")
-            value %= self.q
-        return FqElem(self, value)
-
-    def one(self):
-        return FqElem(self, 1)
-
-    def zero(self):
-        return FqElem(self, 0)
-
-    def units(self):
-        return range(1, self.q)
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldSpec)
@@ -280,79 +255,3 @@ def _factor_prime_power(q):
                 r += 1
             return p, r
     raise ValueError(f"q = {q} is not a prime power")
-
-
-class FqElem:
-    """Element of F_q tied to its owning FieldSpec; immutable."""
-
-    __slots__ = ("owner", "value")
-
-    def __init__(self, owner, value):
-        self.owner = owner
-        self.value = value
-
-    @property
-    def coeffs(self):
-        """Coordinates in the basis 1, u, ..., u**(r-1), reduced mod p."""
-        return self.owner._coords(self.value)
-
-    def _check(self, other):
-        if not isinstance(other, FqElem):
-            if isinstance(other, int) and self.owner.r == 1:
-                return other % self.owner.p
-            return NotImplemented
-        if other.owner != self.owner:
-            raise ValueError("elements of different fields")
-        return other.value
-
-    def __add__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
-            return v
-        return FqElem(self.owner, self.owner.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
-            return v
-        return FqElem(self.owner, self.owner.sub(self.value, v))
-
-    def __mul__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
-            return v
-        return FqElem(self.owner, self.owner.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
-            return v
-        return FqElem(self.owner, self.owner.div(self.value, v))
-
-    def __neg__(self):
-        return FqElem(self.owner, self.owner.neg(self.value))
-
-    def inverse(self):
-        return FqElem(self.owner, self.owner.inv(self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FqElem):
-            return self.owner == other.owner and self.value == other.value
-        if isinstance(other, int) and self.owner.r == 1:
-            return self.value == other % self.owner.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.owner.q, self.owner.modulus, self.value))
-
-    def __repr__(self):
-        if self.owner.r == 1:
-            return f"{self.value}"
-        return f"{list(self.coeffs)}"

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from ..errors import AmbiguousZero, DivisionByZero, PrecisionExhausted
 from .degree import NEG_INF
-from .field import FqElem
-from .poly import Poly, RatFn, ops_for
+from .poly import Poly, RatFn, ops_for, raw_coeffs
 
 
 class Laurent:
@@ -46,18 +45,11 @@ class Laurent:
                  tail_period=None):
         """Build from a digit window.
 
-        ``digits`` lists coefficients for degrees lead, lead-1, ...; raw
-        ints, FqElem, or plain ints for prime fields.  ``floor`` defaults
-        to the end of the window.
+        ``digits`` lists raw coefficients for degrees lead, lead-1, ...,
+        under Poly's rule (see raw_coeffs).  ``floor`` defaults to the
+        end of the window.
         """
-        vals = []
-        for c in digits:
-            if isinstance(c, FqElem):
-                vals.append(c.value)
-            elif field.r == 1:
-                vals.append(c % field.p)
-            else:
-                vals.append(c)
+        vals = raw_coeffs(field, digits)
         low = lead - len(vals) + 1  # degree of the last listed digit
         if floor is None:
             floor = low if vals else 0

@@ -19,7 +19,23 @@ from __future__ import annotations
 
 from ..errors import DivisionByZero
 from .degree import NEG_INF
-from .field import FqElem
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def raw_coeffs(field, coeffs):
+    """List an iterable of coefficients as raw field ints.
+
+    A prime field reduces any int mod p; an extension field refuses a
+    value outside [0, q), since its raw ints are coordinate codes.
+    """
+    vals = list(coeffs)
+    if field.r == 1:
+        p = field.p
+        return [c % p for c in vals]
+    if vals and not (0 <= min(vals) and max(vals) < field.q):
+        raise ValueError("raw coefficient out of range")
+    return vals
 
 
 class BitPolyOps:
@@ -40,10 +56,12 @@ class BitPolyOps:
                 v |= 1 << i
         return v
 
-    def to_coeffs(self, a):
+    @staticmethod
+    def to_coeffs(a):
         if a == 0:
             return ()
-        return tuple((a >> i) & 1 for i in range(a.bit_length()))
+        # bin() lists the bits high to low after "0b"; one pass reverses
+        return tuple(bin(a)[:1:-1].encode().translate(_BITS))
 
     @staticmethod
     def deg(a):
@@ -298,26 +316,13 @@ class Poly:
     __slots__ = ("field", "raw", "ops")
 
     def __init__(self, field, coeffs=()):
-        """Build from an iterable of coefficients, lowest degree first.
+        """Build from an iterable of raw coefficients, lowest degree first.
 
-        Coefficients may be raw ints, FqElem, or (for prime fields)
-        arbitrary ints reduced mod p.
+        Prime fields reduce any int mod p (see raw_coeffs).
         """
         self.field = field
         self.ops = ops_for(field)
-        vals = []
-        for c in coeffs:
-            if isinstance(c, FqElem):
-                if c.owner != field:
-                    raise ValueError("coefficient from a different field")
-                vals.append(c.value)
-            elif field.r == 1:
-                vals.append(c % field.p)
-            else:
-                if not 0 <= c < field.q:
-                    raise ValueError("raw coefficient out of range")
-                vals.append(c)
-        self.raw = self.ops.from_coeffs(vals)
+        self.raw = self.ops.from_coeffs(raw_coeffs(field, coeffs))
 
     @classmethod
     def _wrap(cls, field, raw):
@@ -341,20 +346,9 @@ class Poly:
         return cls._wrap(field, ops_for(field).from_coeffs(
             [0] * power + [1]))
 
-    @classmethod
-    def monomial(cls, field, coeff, power):
-        return cls._wrap(field, ops_for(field).from_coeffs(
-            [0] * power + [coeff]))
-
     @property
     def deg(self):
         return self.ops.deg(self.raw)
-
-    @property
-    def coeffs(self):
-        """Coefficients as FqElem, lowest degree first; () for zero."""
-        return tuple(FqElem(self.field, c)
-                     for c in self.ops.to_coeffs(self.raw))
 
     def coeff(self, i):
         return self.ops.coeff(self.raw, i)
@@ -393,10 +387,6 @@ class Poly:
     def scaled(self, c):
         """Multiply by a raw field scalar."""
         return Poly._wrap(self.field, self.ops.scalar_mul(self.raw, c))
-
-    def shifted(self, k):
-        """Multiply by T**k, k >= 0."""
-        return Poly._wrap(self.field, self.ops.shift(self.raw, k))
 
     def __divmod__(self, other):
         self._compat(other)
@@ -477,15 +467,6 @@ class RatFn:
             return NEG_INF
         return self.num.deg - self.den.deg
 
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        return RatFn(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
-
     def __sub__(self, other):
         return RatFn(
             self.num * other.den - other.num * self.den,
@@ -494,14 +475,6 @@ class RatFn:
 
     def __mul__(self, other):
         return RatFn(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.num.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
-
-    def __neg__(self):
-        return RatFn(-self.num, self.den)
 
     def __eq__(self, other):
         return (

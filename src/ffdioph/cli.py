@@ -152,9 +152,7 @@ def _cmd_goodcheck(args):
         payload["closure"] = grid.closure_report(alpha).as_json_dict()
     if args.nonplanarity_trials:
         if args.seed is None:
-            print("a seed is required for randomized runs",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("a seed is required for randomized runs")
         ok, wit = nonplanarity_check(
             f, origin_ball(field, f.d, -1), args.resolution,
             trials=args.nonplanarity_trials, seed=args.seed)
@@ -186,9 +184,7 @@ def _cmd_transfer(args):
             raise ValueError("--random must be >= 0")
         if args.random:
             if args.seed is None:
-                print("a seed is required for randomized runs",
-                      file=sys.stderr)
-                return 2
+                raise ValueError("a seed is required for randomized runs")
             floor = -(args.n + 1) * args.tau_max - 8
             for pt in _random_vectors(field, args.n, args.random,
                                       -floor, args.seed):
@@ -196,8 +192,7 @@ def _cmd_transfer(args):
         elif args.y:
             instances.append(parse_row(args.y, field))
         else:
-            print("give --y or --random", file=sys.stderr)
-            return 2
+            raise ValueError("give --y or --random")
         theta = None
         if args.theta and args.theta != "0":
             theta = parse_laurent(args.theta, field)

@@ -94,37 +94,12 @@ class CylinderSet:
         return Fraction(len(self.cells), cell_count(self.field, self.N,
                                                     self.d))
 
-    def union(self, other):
-        self._compat(other)
-        return CylinderSet(self.field, self.N, self.d,
-                           self.cells | other.cells)
-
-    def intersect(self, other):
-        self._compat(other)
-        return CylinderSet(self.field, self.N, self.d,
-                           self.cells & other.cells)
-
-    def _compat(self, other):
-        if (self.field, self.N, self.d) != (other.field, other.N, other.d):
-            raise ValueError("cylinder sets at different resolutions")
-
-    def hex_words(self):
-        """Sorted hex-coded cells, for golden-file comparisons."""
-        width = (cell_count(self.field, self.N, self.d) - 1).bit_length()
-        width = (width + 3) // 4 or 1
-        return [format(c, f"0{width}x") for c in sorted(self.cells)]
-
     @classmethod
     def unit_ball(cls, field, N, d):
         total = cell_count(field, N, d)
         if total > CELL_BUDGET:
             raise BudgetExceeded(f"{total} cells exceed the budget")
         return cls(field, N, d, frozenset(range(total)))
-
-
-def cylinder_measure(S):
-    """Haar measure of a cylinder set: |cells| * q**(-N*d), exact."""
-    return S.measure()
 
 
 @dataclass(frozen=True)

@@ -119,10 +119,6 @@ class ReducedBasis:
         self.pivots = tuple(pivots)
         self.shift = shift
 
-    @property
-    def field(self):
-        return self.matrix.field
-
 
 def _row_pivot(ops, row, seff):
     """Rightmost column attaining the shifted row degree."""

@@ -38,13 +38,6 @@ class QPow:
                 self.c *= Fraction(self.q) ** k
                 self.e -= k
 
-    @classmethod
-    def exact(cls, q, value):
-        return cls(q, value, 0)
-
-    def is_zero(self):
-        return self.c == 0
-
     def __mul__(self, other):
         if isinstance(other, QPow):
             if other.q != self.q:

@@ -19,7 +19,7 @@ from ffdioph import (
     sup_norm,
 )
 from ffdioph.algebra.degree import NEG_INF
-from ffdioph.algebra.poly import poly_divmod, poly_gcd
+from ffdioph.algebra.poly import ops_for, poly_divmod, poly_gcd
 from ffdioph.errors import (
     AmbiguousZero,
     CoefficientOutOfRange,
@@ -56,8 +56,8 @@ class TestFieldSpec:
                 assert F9.mul(a, F9.inv(a)) == 1
 
     def test_element_wrapper(self, F9):
-        u = F9.elem((0, 1))
-        assert (u * u).coeffs == (2, 0)  # u^2 = -1 = 2 in F_9 with x^2+1
+        # u = (0, 1) is raw 0 + 1*3; u^2 = -1 = (2, 0) in F_9 with x^2+1
+        assert F9.mul(3, 3) == 2
 
     def test_rejects_q_above_table_limit(self):
         with pytest.raises(ValueError):
@@ -66,10 +66,18 @@ class TestFieldSpec:
             FieldSpec(2, 10)
 
     def test_elem_out_of_range(self, F9):
-        assert FieldSpec.get(5).elem(7) == FieldSpec.get(5).elem(2)
+        F5 = FieldSpec.get(5)
+        assert Poly(F5, [7]) == Poly(F5, [2])
+        assert Laurent(F5, [7], 0) == Laurent(F5, [2], 0)
         for raw in (9, 10, -1):
-            with pytest.raises(ValueError):
-                F9.elem(raw)
+            # a generator is listed before it is checked
+            for digits in ([raw], [raw, 3], (c for c in [3, raw])):
+                with pytest.raises(ValueError,
+                                   match="raw coefficient out of range"):
+                    Poly(F9, digits)
+            with pytest.raises(ValueError,
+                               match="raw coefficient out of range"):
+                Laurent(F9, [raw, 3], 0)
 
 
 class TestPoly:
@@ -112,6 +120,12 @@ class TestPoly:
                 a = random_poly(F, 8, rng)
                 b = random_poly(F, 8, rng)
                 assert a * b == naive_poly_mul(F, a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.one_of(st.integers(0, 2**16), st.integers(0, 2**600)))
+    def test_bit_to_coeffs_matches_shift_loop(self, a):
+        expect = tuple((a >> i) & 1 for i in range(a.bit_length()))
+        assert ops_for(FieldSpec.get(2)).to_coeffs(a) == expect
 
     def test_gcd(self, F2):
         a = parse_poly("T^2 + 1", F2)  # (T+1)^2

@@ -482,13 +482,18 @@ class TestInputErrors:
          "max_terms"),
         (["goodcheck", "--map", "veronese:2", "--alpha", "1", "-N", "4",
           "--nonplanarity-trials", "-1", "--seed", "1"], {}, "trials"),
+        (["transfer", "bz", "--random", "2"], {}, "seed is required"),
+        (["goodcheck", "--map", "veronese:2", "--alpha", "1", "-N", "4",
+          "--nonplanarity-trials", "2"], {}, "seed is required"),
+        (["transfer", "bz"], {}, "give --y or --random"),
     ], ids=["t-negative", "t-zero", "bz-tau-max", "dyson-tau-max",
             "matrix-q", "veronese-0", "map-d0", "map-empty", "map-exp-neg",
             "map-exp-len", "map-exps-type", "map-coeff-type", "map-list",
             "config-unknown", "config-d", "config-n", "config-twice",
             "config-no-equals", "config-no-seed", "random-negative",
             "max-terms-negative", "max-terms-zero", "max-terms-zero-ratfn",
-            "trials-negative"])
+            "trials-negative", "bz-random-no-seed", "trials-no-seed",
+            "bz-no-input"])
     def test_refused_input(self, tmp_path, capsys, argv, files, problem):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -614,7 +619,7 @@ _file_calls = st.one_of(
 
 
 class TestFuzz:
-    """Any drawn input exits 0, 1 or 2; exit 2 prints exactly one line."""
+    """Any drawn input exits 0, 1 or 2; exit 2 prints one `error: ` line."""
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -636,3 +641,4 @@ class TestFuzz:
         assert code in (0, 1, 2)
         if code == 2:
             assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert err.getvalue().startswith("error: "), err.getvalue()

@@ -148,7 +148,7 @@ class TestIntersection:
         in1, _ = build_I_set(cfg, AlphaIndex(Poly.zero(F2), q))
         in2, _ = build_I_set(cfg, AlphaIndex(Poly.one(F2), q))
         assert in1.cells and in2.cells
-        assert not in1.intersect(in2).cells
+        assert not in1.cells & in2.cells
 
     def test_interleaved_configs(self, F2):
         # each config reads its own cell grid, whatever ran in between
